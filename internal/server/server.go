@@ -190,18 +190,11 @@ func (s *Server) deadline(r *http.Request) time.Duration {
 	return d
 }
 
-// queryRequest is the body of POST /v1/query.
+// queryRequest is the body of POST /v1/query; writeQueryReply (encode.go)
+// writes its reply.
 type queryRequest struct {
 	Query   json.RawMessage `json:"query"`
 	MOsOnly bool            `json:"mos_only"`
-}
-
-// queryResponse is its reply; exactly one of MOs / Trajectories is set.
-type queryResponse struct {
-	Count        int               `json:"count"`
-	Cached       bool              `json:"cached"`
-	MOs          []string          `json:"mos,omitempty"`
-	Trajectories []core.Trajectory `json:"trajectories,omitempty"`
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) *apiError {
@@ -230,21 +223,27 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) *apiError {
 		return aerr
 	}
 
-	resp := queryResponse{Cached: cached}
+	var mos []string
+	var trajs []core.Trajectory
 	if req.MOsOnly {
-		mos, err := s.st.SelectMOsCompiledCtx(r.Context(), cq)
-		if err != nil {
-			return selectionError(err)
-		}
-		resp.Count, resp.MOs = len(mos), mos
+		mos, err = s.st.SelectMOsCompiledCtx(r.Context(), cq)
 	} else {
-		trajs, err := s.st.SelectCompiledCtx(r.Context(), cq)
-		if err != nil {
-			return selectionError(err)
-		}
-		resp.Count, resp.Trajectories = len(trajs), trajs
+		trajs, err = s.st.SelectCompiledCtx(r.Context(), cq)
 	}
-	return writeJSON(w, &resp)
+	if err != nil {
+		return selectionError(err)
+	}
+	w.Header().Set("Content-Type", "application/json")
+	flushed, err := writeQueryReply(w, cached, mos, trajs)
+	if err != nil {
+		if flushed {
+			// Part of the reply is on the wire: returning normally would
+			// end it as if complete, so abort the connection instead.
+			panic(http.ErrAbortHandler)
+		}
+		return errInternal(fmt.Errorf("encode reply: %w", err))
+	}
+	return nil
 }
 
 // plan resolves the compiled plan for (q, fp): cache hit when present and
@@ -424,13 +423,15 @@ func (s *Server) Drain(ctx context.Context) error {
 	return errors.Join(waitErr, s.finalizeErr)
 }
 
-// writeJSON renders a 200 with body v. Encoding failures after the header
-// is committed can only be logged by the transport; the nil return keeps
-// handler signatures uniform.
+// writeJSON renders a 200 with body v, or an internal error if v does not
+// encode. The body is encoded before anything is written, so a failure
+// still gets its error envelope.
 func writeJSON(w http.ResponseWriter, v any) *apiError {
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		return nil
+	b, err := json.Marshal(v)
+	if err != nil {
+		return errInternal(err)
 	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(append(b, '\n')) // a failed write means the client is gone; nothing is left to tell it
 	return nil
 }
