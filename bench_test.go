@@ -418,8 +418,9 @@ func BenchmarkStoreQueries(b *testing.B) {
 // ---- Analytics-engine before/after benches (DESIGN.md §4, E-series) -----
 
 // benchStore loads a seeded dataset into a store and returns it with its
-// trajectories, warming the interval indexes so the benches time queries,
-// not the one-off lazy rebuild.
+// trajectories. At 450 trajectories every shard holds less than one
+// 1024-row zone map, so the zone-pruned queries below test every row
+// whatever the insertion order.
 func benchStore(b *testing.B) (*sitm.Store, []sitm.Trajectory) {
 	b.Helper()
 	d, _, err := sitm.GenerateLouvreDataset(benchParams())
@@ -435,7 +436,7 @@ func benchStore(b *testing.B) (*sitm.Store, []sitm.Trajectory) {
 }
 
 // benchWindow is a narrow one-day window inside the dataset's span — the
-// selective query shape interval indexing exists for.
+// selective query shape time pruning exists for.
 func benchWindow() (time.Time, time.Time) {
 	from := time.Date(2017, 3, 1, 0, 0, 0, 0, time.UTC)
 	return from, from.AddDate(0, 0, 1)
@@ -462,9 +463,11 @@ func BenchmarkStoreOverlappingScan(b *testing.B) {
 	}
 }
 
-// BenchmarkStoreOverlappingIndexed measures the interval-indexed query on
-// the same window: sorted starts bound the candidates, the max-end segment
-// tree prunes the rest.
+// BenchmarkStoreOverlappingIndexed measures the zone-pruned query on the
+// same window: zones the window misses are skipped, the rest are tested
+// row by row. Here each shard is a single partial zone (see benchStore),
+// so this times the planner plus a full row scan — the zone maps'
+// granularity floor, not their pruning.
 func BenchmarkStoreOverlappingIndexed(b *testing.B) {
 	st, _ := benchStore(b)
 	from, to := benchWindow()
@@ -499,7 +502,8 @@ func BenchmarkStoreInCellDuringScan(b *testing.B) {
 	}
 }
 
-// BenchmarkStoreInCellDuringIndexed measures the per-cell interval index.
+// BenchmarkStoreInCellDuringIndexed measures the zone-pruned posting walk
+// behind InCellDuring (bloom and time zone skips, span check first).
 func BenchmarkStoreInCellDuringIndexed(b *testing.B) {
 	st, _ := benchStore(b)
 	from, to := benchWindow()
@@ -657,8 +661,8 @@ func BenchmarkStoreMixedRebuild(b *testing.B) {
 }
 
 // BenchmarkStoreMixedIncremental (E5 after): the same mixed workload on
-// the incremental store — PutBatch merges bursts into the index buffers,
-// queries never rebuild. The acceptance criterion is ≥5× over the rebuild
+// the store — PutBatch appends bursts and extends the zone maps, queries
+// never rebuild. The acceptance criterion is ≥5× over the rebuild
 // baseline; TestE5IncrementalBeatsRebuild enforces it in tier-1.
 func BenchmarkStoreMixedIncremental(b *testing.B) {
 	trajs := e5Trajectories(b)
@@ -702,8 +706,8 @@ func e5Workload(stream []sitm.Trajectory, put func([]sitm.Trajectory), overlappi
 }
 
 // TestE5IncrementalBeatsRebuild enforces the E5 acceptance criterion in
-// tier-1: on the 10k-trajectory mixed write/query workload, incremental
-// index maintenance must beat the seed's full-rebuild discipline by ≥5×
+// tier-1: on the 10k-trajectory mixed write/query workload, the store's
+// zone-mapped appends must beat the seed's full-rebuild discipline by ≥5×
 // (in practice the gap is one to two orders of magnitude; 5× leaves slack
 // for noisy CI machines).
 func TestE5IncrementalBeatsRebuild(t *testing.T) {

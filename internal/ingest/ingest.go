@@ -1,11 +1,11 @@
 // Package ingest is the live ingestion engine: it wires the online
-// StreamSegmenter (internal/core) to the incrementally-indexed trajectory
-// store (internal/store) so a raw detection feed — a BLE positioning
+// StreamSegmenter (internal/core) to the sharded trajectory store
+// (internal/store) so a raw detection feed — a BLE positioning
 // stream, a CSV file, a simulator in stream-emission mode — becomes a
 // queryable store while the feed is still running. Trajectories enter the
 // store the moment their session closes, in batches that amortize locking
-// and interval-index maintenance (store.PutBatch); temporal queries against
-// the store interleave freely with ingestion and never pay a rebuild.
+// (store.PutBatch); temporal queries against the store interleave freely
+// with ingestion and never pay a rebuild.
 package ingest
 
 import (
@@ -22,8 +22,8 @@ type Options struct {
 	// annotation, episode extraction, interval/episode callbacks).
 	Stream core.StreamOptions
 	// BatchSize is how many closed trajectories are buffered before one
-	// PutBatch flushes them into the store (amortizing the write lock and
-	// the interval-index merges). 0 defaults to 128; 1 writes through.
+	// PutBatch flushes them into the store (amortizing the write lock).
+	// 0 defaults to 128; 1 writes through.
 	BatchSize int
 	// Shards is the shard count of the store New creates when handed a
 	// nil store (0 = the store default, GOMAXPROCS). Ignored when the

@@ -25,7 +25,8 @@ import (
 //	{"and": [<node>, ...]}   {"or": [<node>, ...]}
 //
 // decodeQuery also computes the query's fingerprint — a canonical string
-// over the decoded operands (times as UnixNano, strings quoted), so two
+// over the decoded operands (times as exact unix seconds.nanoseconds —
+// defined in every year, unlike UnixNano — strings quoted), so two
 // JSON spellings of the same plan ("10:00:00Z" vs "10:00:00+00:00",
 // reordered object keys) share one plan-cache entry. Operand order is
 // preserved: and/or are not sorted, matching the compiler's semantics.
@@ -97,7 +98,7 @@ func decodeNode(raw json.RawMessage, fp *strings.Builder, depth int) (store.Quer
 		if err != nil {
 			return nil, fmt.Errorf("time_overlap: %w", err)
 		}
-		fmt.Fprintf(fp, "time(%d,%d)", from.UnixNano(), to.UnixNano())
+		fmt.Fprintf(fp, "time(%d.%09d,%d.%09d)", from.Unix(), from.Nanosecond(), to.Unix(), to.Nanosecond())
 		return store.TimeOverlap(from, to), nil
 	case "has_annotation":
 		var kv struct{ Key, Value string }
@@ -145,7 +146,7 @@ func decodeNode(raw json.RawMessage, fp *strings.Builder, depth int) (store.Quer
 		if err != nil {
 			return nil, fmt.Errorf("cell_during: %w", err)
 		}
-		fmt.Fprintf(fp, "cellduring(%s,%d,%d)", strconv.Quote(cd.Cell), from.UnixNano(), to.UnixNano())
+		fmt.Fprintf(fp, "cellduring(%s,%d.%09d,%d.%09d)", strconv.Quote(cd.Cell), from.Unix(), from.Nanosecond(), to.Unix(), to.Nanosecond())
 		return store.CellDuring(cd.Cell, from, to), nil
 	case "and", "or":
 		var kids []json.RawMessage

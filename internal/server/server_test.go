@@ -277,3 +277,62 @@ func TestHealthz(t *testing.T) {
 		t.Fatalf("draining healthz = %d, want 503", resp.StatusCode)
 	}
 }
+
+// TestTimesOutsideNanosRange covers times UnixNano cannot represent
+// (before 1677-09-21 or after 2262-04-11) at both ends of the daemon: an
+// ingest body holding one is a 400 that stores and acks nothing, and
+// window edges in any year answer like the time comparisons they stand
+// for on a checkpointed store — including two windows whose UnixNano
+// values collide, which must not share a plan-cache entry.
+func TestTimesOutsideNanosRange(t *testing.T) {
+	dir := t.TempDir()
+	st, err := store.Open(dir, store.Options{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	_, ts := newTestServer(t, st, Config{})
+	if code, _ := postJSON(t, ts.URL+"/v1/ingest", "text/csv", seedCSV, nil); code != 200 {
+		t.Fatalf("seed ingest status = %d", code)
+	}
+	if err := st.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+
+	bad := "mo,cell,start,end\n" +
+		"mo-3,hall,2019-05-01T12:00:00Z,2019-05-01T12:05:00Z\n" +
+		"mo-3,atrium,3000-05-01T12:05:00Z,3000-05-01T12:10:00Z\n"
+	code, env := postJSON(t, ts.URL+"/v1/ingest", "text/csv", bad, nil)
+	if code != 400 || env.Error.Code != codeBadRequest || !strings.Contains(env.Error.Message, "csv row 3") {
+		t.Fatalf("ingest of a year-3000 row = %d %+v, want 400 naming row 3", code, env)
+	}
+	if n := st.Len(); n != 2 {
+		t.Fatalf("rejected ingest changed the store: %d trajectories, want 2", n)
+	}
+
+	// 3000-01-01T00:00:00Z and 1830-11-23T00:50:52.580896768Z share a
+	// UnixNano; the second window is empty (it ends before it starts).
+	for _, tc := range []struct {
+		from, to string
+		want     int
+	}{
+		{"0001-01-01T00:00:00Z", "9999-12-31T23:59:59Z", 2},
+		{"1000-01-01T00:00:00Z", "2100-01-01T00:00:00Z", 2},
+		{"2000-01-01T00:00:00Z", "3000-01-01T00:00:00Z", 2},
+		{"2000-01-01T00:00:00Z", "1830-11-23T00:50:52.580896768Z", 0},
+		{"3000-01-01T00:00:00Z", "3100-01-01T00:00:00Z", 0},
+	} {
+		for _, body := range []string{
+			`{"query": {"time_overlap": {"from": "` + tc.from + `", "to": "` + tc.to + `"}}, "mos_only": true}`,
+			`{"query": {"cell_during": {"cell": "hall", "from": "` + tc.from + `", "to": "` + tc.to + `"}}, "mos_only": true}`,
+		} {
+			var qr queryResponse
+			if code, env := postJSON(t, ts.URL+"/v1/query", "application/json", body, &qr); code != 200 {
+				t.Fatalf("%s: status %d %+v", body, code, env)
+			}
+			if qr.Count != tc.want {
+				t.Fatalf("%s: %d MOs, want %d", body, qr.Count, tc.want)
+			}
+		}
+	}
+}

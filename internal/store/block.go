@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"slices"
 	"sync/atomic"
 	"time"
@@ -63,6 +64,15 @@ var nextBlockSegID atomic.Uint64
 // visits is present in the bloom filter. Presence intervals lie inside
 // their trajectory's span (validated at decode), so [minStart, maxEnd]
 // also envelopes every interval in the block.
+//
+// The same struct, built by the same fold, summarizes each run of
+// segBlockRows live slots (see liveZone) as rows arrive. A live zone
+// leaves the distinct counts at zero (nothing prunes on them), and it is
+// marked unbounded when a row's times escape what the extents can state:
+// a time outside the int64 nanosecond range, or a presence interval
+// outside its row's span. An unbounded zone is never disjoint from or
+// covered by a window, so its rows are always tested one by one against
+// the exact times.
 type zoneMap struct {
 	minSeq, maxSeq     uint64
 	minStart, maxStart int64
@@ -71,6 +81,107 @@ type zoneMap struct {
 	distinctCells      int32
 	distinctMOs        int32
 	bloom              [4]uint64 // 256-bit cell-id summary, 2 probes
+	unbounded          bool      // never encoded: a decoded zone is bounded
+}
+
+// liveZone is the zone map of the live slots [base, base+zone.rows): rows
+// inserted since open, or all rows of a store that never checkpointed.
+type liveZone struct {
+	base int32
+	zone zoneMap
+}
+
+// Unix nanoseconds are defined for times strictly inside (minNanoTime,
+// maxNanoTime) — the extremes themselves are excluded, so a window edge
+// saturated to ±math.MaxInt64 compares against every in-range row time
+// exactly as the unsaturated edge would.
+var (
+	minNanoTime = time.Unix(0, math.MinInt64)
+	maxNanoTime = time.Unix(0, math.MaxInt64)
+)
+
+// nanosInRange reports whether t has a unix-nanosecond representation
+// that the WAL and segment codecs (and zone extents) can hold.
+func nanosInRange(t time.Time) bool {
+	return t.After(minNanoTime) && t.Before(maxNanoTime)
+}
+
+// saturatingNanos is t.UnixNano() clamped to the int64 range instead of
+// overflowing — the conversion for query window edges, which may lie in
+// any year, and for the shard's span columns, since an in-memory store
+// may hold a row outside the range.
+func saturatingNanos(t time.Time) int64 {
+	switch {
+	case !t.After(minNanoTime):
+		return math.MinInt64
+	case !t.Before(maxNanoTime):
+		return math.MaxInt64
+	}
+	return t.UnixNano()
+}
+
+// saturated reports whether n, a saturatingNanos result, stands for a
+// time outside the int64 nanosecond range rather than being exact. An
+// in-range time never converts to either extreme.
+func saturated(n int64) bool { return n == math.MinInt64 || n == math.MaxInt64 }
+
+// checkTimeRange reports an error naming the first of ts that has no
+// unix-nanosecond representation: such a time cannot be written to a WAL
+// or segment without silently changing.
+func checkTimeRange(ts ...time.Time) error {
+	for _, t := range ts {
+		if !nanosInRange(t) {
+			return fmt.Errorf("time %s outside the storable range (%s, %s)", t.Format(time.RFC3339Nano),
+				minNanoTime.UTC().Format(time.RFC3339Nano), maxNanoTime.UTC().Format(time.RFC3339Nano))
+		}
+	}
+	return nil
+}
+
+// checkTrajectoryTimes applies checkTimeRange to every presence interval
+// of t, then to its span. A non-empty trace's span is made of interval
+// times, so the span check only catches an empty trace, whose span is the
+// zero time.Time.
+func checkTrajectoryTimes(t core.Trajectory) error {
+	for i, p := range t.Trace {
+		if err := checkTimeRange(p.Start, p.End); err != nil {
+			return fmt.Errorf("trajectory %q interval %d: %w", t.MO, i, err)
+		}
+	}
+	if err := checkTimeRange(t.Start(), t.End()); err != nil {
+		return fmt.Errorf("trajectory %q span: %w", t.MO, err)
+	}
+	return nil
+}
+
+// fold widens the zone to cover one more row: its seq, its span [stN,
+// enN] (saturated unix nanos) and its presence intervals tr with their
+// cell ids enc. It is the one rule for zone extents — addSlot folds each
+// live row as it arrives and encodeBlock each row of a block it writes.
+// O(len(tr)), no allocation.
+// The extents come from the span alone; each interval adds its cell to
+// the bloom, and one outside the span (or any time outside the int64
+// nanosecond range) marks the zone unbounded.
+func (z *zoneMap) fold(seq uint64, stN, enN int64, tr core.Trace, enc []int32) {
+	if saturated(stN) || saturated(enN) {
+		z.unbounded = true
+	}
+	if z.rows == 0 {
+		z.minSeq, z.maxSeq = seq, seq
+		z.minStart, z.maxStart = stN, stN
+		z.minEnd, z.maxEnd = enN, enN
+	}
+	z.rows++
+	z.minSeq, z.maxSeq = min(z.minSeq, seq), max(z.maxSeq, seq)
+	z.minStart, z.maxStart = min(z.minStart, stN), max(z.maxStart, stN)
+	z.minEnd, z.maxEnd = min(z.minEnd, enN), max(z.maxEnd, enN)
+	for i := range tr {
+		p := &tr[i] // by pointer: a PresenceInterval is too big to copy per row
+		if !nanosInRange(p.Start) || !nanosInRange(p.End) || p.Start.UnixNano() < stN || p.End.UnixNano() > enN {
+			z.unbounded = true
+		}
+		z.bloomAdd(enc[i])
+	}
 }
 
 // bloomPositions derives two bit positions in [0, 256) from a cell id.
@@ -104,7 +215,7 @@ func (z *zoneMap) bloomHas(id int32) bool {
 //
 //sitm:hotpath
 func (z *zoneMap) timeDisjoint(fromN, toN int64) bool {
-	return z.maxEnd < fromN || z.minStart > toN
+	return !z.unbounded && (z.maxEnd < fromN || z.minStart > toN)
 }
 
 // timeCovered reports that every trajectory span in the block intersects
@@ -113,7 +224,7 @@ func (z *zoneMap) timeDisjoint(fromN, toN int64) bool {
 //
 //sitm:hotpath
 func (z *zoneMap) timeCovered(fromN, toN int64) bool {
-	return z.minEnd >= fromN && z.maxStart <= toN
+	return !z.unbounded && z.minEnd >= fromN && z.maxStart <= toN
 }
 
 func appendZone(dst []byte, z *zoneMap) []byte {
@@ -342,12 +453,13 @@ func encodeSegmentV2(c *segmentColumns) []byte {
 	trajs := c.residualSource()
 	var payloads [][]byte
 	var zones []zoneMap
+	var bufs blockBufs
 	for base := 0; base < n; base += segBlockRows {
 		end := base + segBlockRows
 		if end > n {
 			end = n
 		}
-		p, z := encodeBlock(c, trajs, base, end)
+		p, z := encodeBlock(c, trajs, base, end, &bufs)
 		payloads = append(payloads, p)
 		zones = append(zones, z)
 	}
@@ -358,7 +470,11 @@ func encodeSegmentV2(c *segmentColumns) []byte {
 		hdr = binary.AppendUvarint(hdr, uint64(len(payloads[i])))
 		hdr = appendZone(hdr, &zones[i])
 	}
-	out := make([]byte, 0, len(segMagicV2)+len(hdr)+16)
+	size := len(segMagicV2) + binary.MaxVarintLen64 + len(hdr) + 4
+	for _, p := range payloads {
+		size += len(p) + 4
+	}
+	out := make([]byte, 0, size)
 	out = append(out, segMagicV2...)
 	out = binary.AppendUvarint(out, uint64(len(hdr)))
 	out = append(out, hdr...)
@@ -396,12 +512,14 @@ func blockTimeScale(c *segmentColumns, trajs []core.Trajectory, base, end int) u
 	g := uint64(0)
 	prevStart := int64(0)
 	for i := base; i < end; i++ {
-		st, en := c.starts[i].UnixNano(), c.ends[i].UnixNano()
+		st, en := c.starts[i], c.ends[i]
 		g = gcd64(g, absDelta(st-prevStart))
 		g = gcd64(g, absDelta(en-st))
 		prevStart = st
 		prevT := st
-		for _, pt := range trajs[i].Trace {
+		tr := trajs[i].Trace
+		for k := range tr {
+			pt := &tr[k]
 			pst, pen := pt.Start.UnixNano(), pt.End.UnixNano()
 			g = gcd64(g, absDelta(pst-prevT))
 			g = gcd64(g, absDelta(pen-pst))
@@ -414,41 +532,24 @@ func blockTimeScale(c *segmentColumns, trajs []core.Trajectory, base, end int) u
 	return g
 }
 
+// blockBufs are encodeBlock's scratch buffers, kept across the blocks of
+// one segment: a payload is built in them and returned as an exact-size
+// copy, so a checkpoint does not regrow two fresh slices per block.
+type blockBufs struct{ p, rp []byte }
+
 // encodeBlock encodes rows [base, end) of the captured columns as one
 // block payload and its zone map.
-func encodeBlock(c *segmentColumns, trajs []core.Trajectory, base, end int) ([]byte, zoneMap) {
+func encodeBlock(c *segmentColumns, trajs []core.Trajectory, base, end int, bufs *blockBufs) ([]byte, zoneMap) {
 	rows := end - base
-	z := zoneMap{rows: int32(rows)}
-	z.minSeq, z.maxSeq = c.seqs[base], c.seqs[base]
-	z.minStart = c.starts[base].UnixNano()
-	z.maxStart = z.minStart
-	z.minEnd = c.ends[base].UnixNano()
-	z.maxEnd = z.minEnd
+	var z zoneMap
 	for i := base; i < end; i++ {
-		if q := c.seqs[i]; q < z.minSeq {
-			z.minSeq = q
-		} else if q > z.maxSeq {
-			z.maxSeq = q
-		}
-		st, en := c.starts[i].UnixNano(), c.ends[i].UnixNano()
-		if st < z.minStart {
-			z.minStart = st
-		}
-		if st > z.maxStart {
-			z.maxStart = st
-		}
-		if en < z.minEnd {
-			z.minEnd = en
-		}
-		if en > z.maxEnd {
-			z.maxEnd = en
-		}
+		z.fold(c.seqs[i], c.starts[i], c.ends[i], trajs[i].Trace, c.encs[i])
 	}
 
 	tg := blockTimeScale(c, trajs, base, end)
 	tsc := int64(tg)
 
-	var p []byte
+	p := bufs.p[:0]
 	// Time scale: every span/residual time delta below is divided by it
 	// (exactly — it is their GCD) and multiplied back at decode.
 	p = binary.AppendUvarint(p, tg)
@@ -494,7 +595,7 @@ func encodeBlock(c *segmentColumns, trajs []core.Trajectory, base, end int) ([]b
 	// offset from start.
 	prevStart := int64(0)
 	for i := base; i < end; i++ {
-		st, en := c.starts[i].UnixNano(), c.ends[i].UnixNano()
+		st, en := c.starts[i], c.ends[i]
 		p = binary.AppendVarint(p, (st-prevStart)/tsc)
 		p = binary.AppendVarint(p, (en-st)/tsc)
 		prevStart = st
@@ -514,7 +615,6 @@ func encodeBlock(c *segmentColumns, trajs []core.Trajectory, base, end int) ([]b
 	slices.Sort(cellDict)
 	for li, id := range cellDict {
 		local[id] = int32(li)
-		z.bloomAdd(id)
 	}
 	z.distinctCells = int32(len(cellDict))
 	p = appendDeltaDict(p, cellDict)
@@ -561,12 +661,13 @@ func encodeBlock(c *segmentColumns, trajs []core.Trajectory, base, end int) ([]b
 		}
 		return id
 	}
-	var rp []byte
+	rp := bufs.rp[:0]
 	for i := base; i < end; i++ {
 		t := trajs[i]
 		rp = appendLocalAnnotations(rp, t.Ann, intern)
-		prevT := c.starts[i].UnixNano()
-		for _, pt := range t.Trace {
+		prevT := c.starts[i]
+		for k := range t.Trace {
+			pt := &t.Trace[k]
 			rp = binary.AppendUvarint(rp, intern(pt.Transition))
 			st, en := pt.Start.UnixNano(), pt.End.UnixNano()
 			rp = binary.AppendVarint(rp, (st-prevT)/tsc)
@@ -581,7 +682,8 @@ func encodeBlock(c *segmentColumns, trajs []core.Trajectory, base, end int) ([]b
 		p = appendStr(p, s)
 	}
 	p = append(p, rp...)
-	return p, z
+	bufs.p, bufs.rp = p, rp
+	return slices.Clone(p), z
 }
 
 // ---- Decoding ------------------------------------------------------------
@@ -593,8 +695,8 @@ type segData struct {
 	moIDs  []int32
 	encs   [][]int32
 	anns   [][]int32
-	starts []time.Time
-	ends   []time.Time
+	starts []int64 // span start per row, unix nanos
+	ends   []int64
 	blocks *shardBlocks // nil for an empty segment
 }
 
@@ -671,8 +773,8 @@ func decodeSegmentV2(data []byte, path string, cellLimit, moLimit, pairLimit int
 		moIDs:  make([]int32, 0, total),
 		encs:   make([][]int32, 0, total),
 		anns:   make([][]int32, 0, total),
-		starts: make([]time.Time, 0, total),
-		ends:   make([]time.Time, 0, total),
+		starts: make([]int64, 0, total),
+		ends:   make([]int64, 0, total),
 	}
 	infos := make([]blockInfo, 0, nBlocks)
 	pos := crcOff + 4
@@ -805,6 +907,10 @@ func decodeBlockColumns(payload []byte, z *zoneMap, sd *segData, cellLimit, moLi
 		if d.err != nil {
 			break
 		}
+		if saturated(st) || saturated(en) {
+			d.fail("span time outside the storable range")
+			break
+		}
 		prevStart = st
 		if i == 0 {
 			minStart, maxStart, minEnd, maxEnd = st, st, en, en
@@ -822,8 +928,8 @@ func decodeBlockColumns(payload []byte, z *zoneMap, sd *segData, cellLimit, moLi
 				maxEnd = en
 			}
 		}
-		sd.starts = append(sd.starts, time.Unix(0, st).UTC())
-		sd.ends = append(sd.ends, time.Unix(0, en).UTC())
+		sd.starts = append(sd.starts, st)
+		sd.ends = append(sd.ends, en)
 	}
 	if d.err == nil && (minStart != z.minStart || maxStart != z.maxStart || minEnd != z.minEnd || maxEnd != z.maxEnd) {
 		d.fail("span column outside zone map")
@@ -917,8 +1023,8 @@ func validateBlockResidual(res []byte, sd *segData, base, rows int, tscale int64
 	for r := 0; r < rows && d.err == nil; r++ {
 		i := base + r
 		d.skipLocalAnn(nStr)
-		rowStart := sd.starts[i].UnixNano()
-		rowEnd := sd.ends[i].UnixNano()
+		rowStart := sd.starts[i]
+		rowEnd := sd.ends[i]
 		prevT := rowStart
 		for range sd.encs[i] {
 			d.localID(nStr)
@@ -964,7 +1070,7 @@ type shardBlocks struct {
 	// block prefix of those columns never changes after open).
 	encs    [][]int32
 	moIDs   []int32
-	starts  []time.Time
+	starts  []int64
 	cellSym func(int32) string
 	moSym   func(int32) string
 }
@@ -1050,7 +1156,7 @@ func (bs *shardBlocks) decodeBlockTrajs(b int) ([]core.Trajectory, error) {
 		if len(enc) > 0 {
 			t.Trace = make(core.Trace, len(enc))
 		}
-		prevT := bs.starts[slot].UnixNano()
+		prevT := bs.starts[slot]
 		for i, cellID := range enc {
 			p := &t.Trace[i]
 			p.Cell = bs.cellSym(cellID)
@@ -1074,85 +1180,110 @@ func (bs *shardBlocks) decodeBlockTrajs(b int) ([]core.Trajectory, error) {
 	return ts, nil
 }
 
-// ---- Zone-map pruning (plan executor hooks) ------------------------------
+// ---- Zone-map pruning (plan executor) -----------------------------------
 
-// appendTimeSlots appends the lazily held slots whose trajectory span
-// overlaps [from, to]: zone-disjoint blocks are skipped without touching
-// their rows, zone-covered blocks contribute every slot, and partial
-// blocks fall back to the eager per-slot span columns. noPrune disables
-// the zone tests (the property-test oracle), forcing the per-slot path for
-// every block.
+// zone returns the i-th zone of the shard in slot order — the lazily held
+// prefix's blocks first, then the live zones — with its first slot.
 //
 //sitm:locked
-func (bs *shardBlocks) appendTimeSlots(slots []int32, sh *shard, from, to time.Time, noPrune bool) []int32 {
-	fromN, toN := from.UnixNano(), to.UnixNano()
-	for b := range bs.blocks {
-		info := &bs.blocks[b]
-		z := &info.zone
-		if !noPrune && z.timeDisjoint(fromN, toN) {
-			continue
+func (sh *shard) zone(i int) (int32, *zoneMap) {
+	if bs := sh.blk; bs != nil {
+		if i < len(bs.blocks) {
+			return bs.blocks[i].base, &bs.blocks[i].zone
 		}
-		last := info.base + z.rows
-		if !noPrune && z.timeCovered(fromN, toN) {
-			for s := info.base; s < last; s++ {
-				slots = append(slots, s)
-			}
-			continue
-		}
-		for s := info.base; s < last; s++ {
-			if !sh.ends[s].Before(from) && !sh.starts[s].After(to) {
-				slots = append(slots, s)
-			}
-		}
+		i -= len(bs.blocks)
 	}
-	return slots
+	return sh.zones[i].base, &sh.zones[i].zone
 }
 
-// appendCellDuringSlots appends the lazily held slots with a presence
-// interval at cell intersecting [from, to]. Candidates come from the exact
-// cell posting list; zone maps then skip whole blocks (bloom miss or
-// window disjoint from the block's span envelope) before any residual
-// materializes, so a narrow window touches only the blocks it can match.
+// zoneSlots answers a kTime or kCellDuring node in one shard with a single
+// prune loop over every zone, checkpointed and live alike: a zone
+// disjoint from the window (or, for kCellDuring, whose bloom lacks the
+// cell) is skipped without touching its rows; a zone the window covers
+// contributes every slot to kTime; any other zone is tested slot by slot
+// — kCellDuring takes candidates from the exact cell posting list and
+// checks a slot's span columns before walking its trace, so a checkpointed
+// block materializes only when one of its candidates can match. Zones are
+// in slot order, so the result is ascending with no sort. Window edges
+// saturate to the int64 nanosecond range (cplan.fromN, toN); per-slot
+// span tests compare nanos and stay exact (see shard.spanOverlaps), trace
+// tests compare the exact times. Store.noPrune turns every zone into a
+// slot-by-slot zone (the property-test oracle).
 //
 //sitm:locked
-func (bs *shardBlocks) appendCellDuringSlots(slots []int32, sh *shard, cell int32, from, to time.Time, noPrune bool) []int32 {
-	post := sh.posting(cell)
-	// Restrict to the lazily held prefix; live slots are served by the
-	// per-cell interval indexes.
-	lo, hi := 0, len(post)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if int(post[mid]) < bs.rowCount {
-			lo = mid + 1
-		} else {
-			hi = mid
+func (c *cplan) zoneSlots(ctx *execCtx) []int32 {
+	sh := ctx.sh
+	from, to, fromN, toN := c.from, c.to, c.fromN, c.toN
+	prune := !ctx.s.noPrune
+	cellQ := c.kind == kCellDuring
+	var post []int32 // kCellDuring: the cell's remaining candidates
+	if cellQ {
+		if post = sh.posting(c.id); len(post) == 0 {
+			return nil
 		}
 	}
-	post = post[:lo]
-	if len(post) == 0 {
-		return slots
+	nBlocks := 0
+	if sh.blk != nil {
+		nBlocks = len(sh.blk.blocks)
 	}
-	fromN, toN := from.UnixNano(), to.UnixNano()
-	pi := 0
-	for b := 0; b < len(bs.blocks) && pi < len(post); b++ {
-		info := &bs.blocks[b]
-		last := info.base + info.zone.rows
-		start := pi
-		for pi < len(post) && post[pi] < last {
-			pi++
+	var slots []int32
+	for i := 0; i < nBlocks+len(sh.zones); i++ {
+		if cellQ && len(post) == 0 {
+			break
 		}
-		if start == pi {
+		base, z := sh.zone(i)
+		last := base + z.rows
+		if !cellQ {
+			if prune && z.timeDisjoint(fromN, toN) {
+				continue
+			}
+			if prune && z.timeCovered(fromN, toN) {
+				for s := base; s < last; s++ {
+					slots = append(slots, s)
+				}
+				continue
+			}
+			ctx.scannedZones++
+			if z.unbounded { // may hold a saturated span: test exactly
+				for s := base; s < last; s++ {
+					if sh.spanOverlaps(s, c) {
+						slots = append(slots, s)
+					}
+				}
+				continue
+			}
+			starts := sh.starts[base:last]
+			for j, en := range sh.ends[base:last] {
+				if en >= fromN && starts[j] <= toN {
+					slots = append(slots, base+int32(j))
+				}
+			}
 			continue
 		}
-		if !noPrune && (!info.zone.bloomHas(cell) || info.zone.timeDisjoint(fromN, toN)) {
+		k, _ := slices.BinarySearch(post, last)
+		cand := post[:k]
+		post = post[k:]
+		if len(cand) == 0 || prune && (!z.bloomHas(c.id) || z.timeDisjoint(fromN, toN)) {
 			continue
 		}
-		ts := bs.materialize(b)
-		for _, slot := range post[start:pi] {
-			tr := ts[slot-info.base].Trace
-			for i, id := range sh.encs[slot] {
-				if id == cell && !tr[i].End.Before(from) && !tr[i].Start.After(to) {
-					slots = append(slots, slot)
+		ctx.scannedZones++
+		var block []core.Trajectory // materialized on first need
+		for _, s := range cand {
+			if !z.unbounded && (sh.ends[s] < fromN || sh.starts[s] > toN) {
+				continue
+			}
+			var tr core.Trace
+			if i < nBlocks {
+				if block == nil {
+					block = sh.blk.materialize(i)
+				}
+				tr = block[s-base].Trace
+			} else {
+				tr = sh.trajs[s].Trace
+			}
+			for j, id := range sh.encs[s] {
+				if id == c.id && !tr[j].End.Before(from) && !tr[j].Start.After(to) {
+					slots = append(slots, s)
 					break
 				}
 			}

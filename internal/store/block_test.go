@@ -181,11 +181,14 @@ func TestDecodeSegmentV2ErrorGranularity(t *testing.T) {
 	}
 }
 
-// TestZoneMapPruneEquivalence is the ISSUE's property test: Select
+// TestZoneMapPruneEquivalence is the zone-map property test: Select
 // results with pruning active are bit-equal to a prune-disabled run of
 // the same directory, across shard counts {1, 2, 8} × GOMAXPROCS {1, 8},
-// for randomized TimeOverlap / CellDuring / conjunctive plans.
+// for randomized TimeOverlap / CellDuring / conjunctive plans — and, for
+// in-memory and mixed stores (live/, mixed/ subtests, zone_test.go), to a
+// direct scan as well.
 func TestZoneMapPruneEquivalence(t *testing.T) {
+	zonePruneLiveAndMixed(t)
 	rng := rand.New(rand.NewSource(11))
 	trajs := richCorpusTrajs(rng, 400)
 	cells := []string{"A", "B", "C", "D", "E", "F", "G", "H", "Z"}

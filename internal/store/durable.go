@@ -196,13 +196,28 @@ func (d *durable) logDictTail(s *Store) {
 	d.dictMu.Unlock()
 }
 
+// admit gates a durable write before anything is interned: a read-only
+// store panics, and a write holding a time the WAL cannot store (outside
+// the int64 nanosecond range) is not applied at all — the whole batch is
+// dropped with a sticky error, like a failed append, so no later Sync
+// acknowledges it.
+func (d *durable) admit(op string, ts ...core.Trajectory) bool {
+	if d.readOnly {
+		panic(fmt.Errorf("store: %s on read-only store %s: %w", op, d.dir, ErrReadOnly))
+	}
+	for _, t := range ts {
+		if err := checkTrajectoryTimes(t); err != nil {
+			d.fail(fmt.Errorf("store: %s not applied: %w", op, err))
+			return false
+		}
+	}
+	return true
+}
+
 // putDurable is Put's durable back half: WAL-append then shard insert,
 // under the checkpoint gate. Symbols are already interned by the caller.
 func (s *Store) putDurable(t core.Trajectory, moID int32, enc, ann []int32) {
 	d := s.dur
-	if d.readOnly {
-		panic(fmt.Errorf("store: Put on read-only store %s: %w", d.dir, ErrReadOnly))
-	}
 	d.gate.RLock()
 	d.logDictTail(s)
 	g := s.shardIndex(t.MO)
@@ -217,7 +232,7 @@ func (s *Store) putDurable(t core.Trajectory, moID int32, enc, ann []int32) {
 	rl.mu.Unlock()
 	sh := &s.shards[g]
 	sh.mu.Lock()
-	sh.insertOne(seq, t, moID, enc, ann, s.trajectoryRegions(t))
+	sh.addSlot(seq, t, moID, enc, ann, s.trajectoryRegions(t))
 	sh.mu.Unlock()
 	d.gate.RUnlock()
 	d.maybeCompact(s)
@@ -227,9 +242,6 @@ func (s *Store) putDurable(t core.Trajectory, moID int32, enc, ann []int32) {
 // one shard visit per touched shard.
 func (s *Store) putBatchDurable(ts []core.Trajectory, moIDs []int32, encs, anns [][]int32, groups [][]int32) {
 	d := s.dur
-	if d.readOnly {
-		panic(fmt.Errorf("store: PutBatch on read-only store %s: %w", d.dir, ErrReadOnly))
-	}
 	d.gate.RLock()
 	d.logDictTail(s)
 	base := s.nextSeq.Add(uint64(len(ts))) - uint64(len(ts))
@@ -559,7 +571,7 @@ func (s *Store) loadSegment(shard int, data []byte, path string, cache *BlockCac
 		}
 		return s.shards[shard].insertBlockRows(sd), nil
 	}
-	rows, spans, err := decodeSegment(data, path,
+	rows, err := decodeSegment(data, path,
 		s.cells.Len(), s.mos.Len(), s.pairs.Len(),
 		s.cells.Symbol, s.mos.Symbol)
 	if err != nil {
@@ -571,7 +583,7 @@ func (s *Store) loadSegment(shard int, data []byte, path string, cache *BlockCac
 			next = rows[r].seq + 1
 		}
 	}
-	s.shards[shard].insertRecovered(rows, spans)
+	s.shards[shard].insertRecovered(rows)
 	return next, nil
 }
 
@@ -761,7 +773,7 @@ func Open(dir string, opts Options) (*Store, error) {
 				maxSeqs[i] = rows[r].seq + 1
 			}
 		}
-		s.shards[i].insertRecovered(rows, nil)
+		s.shards[i].insertRecovered(rows)
 	})
 	for _, err := range replayErrs {
 		if err != nil {
@@ -963,7 +975,7 @@ func openReadOnly(fsys faultfs.FS, dir string, opts Options) (*Store, error) {
 				maxSeqs[i] = rows[r].seq + 1
 			}
 		}
-		s.shards[i].insertRecovered(rows, nil)
+		s.shards[i].insertRecovered(rows)
 	})
 	for _, err := range replayErrs {
 		if err != nil {

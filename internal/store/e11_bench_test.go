@@ -8,16 +8,17 @@ package store
 //
 //   - Cold open: a read-only open of the v2 directory decodes eager
 //     columns and zone maps only, deferring every residual block; the v1
-//     directory decodes every row in full and builds interval indexes.
+//     directory decodes every row in full.
 //   - Windowed query from cold: open + compile TimeOverlap(one day) +
 //     SelectCompiledCtx + close. The v2 side materializes only the blocks
 //     the zone maps cannot prune; the v1 side has already paid for
 //     everything at open.
 //   - On-disk size: per-column block compression vs the verbatim v1 blob.
 //
-// TestE11BlocksBeatMonolith enforces the acceptance floors in tier-1,
-// after proving both directories and the in-memory oracle are observably
-// identical (WriteJSON byte-equality + the full compareStores surface).
+// TestE11BlocksBeatMonolith enforces the format properties behind those
+// gains in tier-1 as block counts, not wall-clock ratios, after proving
+// both directories and the in-memory oracle are observably identical
+// (WriteJSON byte-equality + the full compareStores surface).
 
 import (
 	"bytes"
@@ -251,15 +252,26 @@ func BenchmarkE11SegmentSize(b *testing.B) {
 }
 
 // TestE11BlocksBeatMonolith enforces the E11 acceptance criteria in
-// tier-1: the block-structured format must cold-open ≥2x faster, answer a
-// time-windowed compiled query from cold ≥3x faster, and occupy ≤60% of
-// the v1 segment bytes — all on directories proven observably identical
-// to each other and to the in-memory oracle first.
+// tier-1 with deterministic assertions — on directories proven observably
+// identical to each other and to the in-memory oracle first:
+//
+//   - the block-structured format occupies ≤60% of the v1 segment bytes;
+//   - a cold v2 open decodes no residual block (block-cache misses and
+//     bytes are 0 after Open + Len) — the property that made cold open
+//     faster than v1's full decode;
+//   - the cold one-day window query decodes exactly the blocks holding a
+//     matching row, counted from the corpus rather than from the answer,
+//     which is fewer than all blocks; and the prune loop scans slot by
+//     slot exactly the blocks whose extents neither exclude nor cover the
+//     window — the property that made the cold windowed query faster.
+//
+// The wall-clock ratios these replace are still reported by the
+// BenchmarkE11* pairs; end to end, perfbench's open_p50_ms gates v2 open.
 func TestE11BlocksBeatMonolith(t *testing.T) {
 	v1Dir, v2Dir := e11Dirs(t)
 	trajs := e11Corpus(t)
 
-	// Equivalence before speed: oracle vs both on-disk formats.
+	// Equivalence first: oracle vs both on-disk formats.
 	oracle := NewSharded(e11Shards)
 	oracle.PutBatch(trajs)
 	sV1, err := Open(v1Dir, Options{ReadOnly: true})
@@ -316,43 +328,113 @@ func TestE11BlocksBeatMonolith(t *testing.T) {
 	}
 	t.Logf("E11 size: v1 %d bytes, v2 %d bytes (%.0f%%)", v1Bytes, v2Bytes, ratio*100)
 
-	if testing.Short() {
-		t.Skip("timing floors under -short")
+	// Cold open decodes no residual block.
+	cache := NewBlockCache(1 << 30)
+	cold, err := Open(v2Dir, Options{ReadOnly: true, BlockCache: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cold.Close()
+	if cold.Len() != e11Trajs {
+		t.Fatal("short recovery")
+	}
+	if st := cache.Stats(); st.Misses != 0 || st.Bytes != 0 {
+		t.Fatalf("cold v2 open decoded residual blocks: %+v", st)
 	}
 
-	// Cold open: ≥2x.
-	openV2 := best3(func() {
-		s, err := Open(v2Dir, Options{ReadOnly: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s.Len() != e11Trajs {
-			t.Fatal("short recovery")
-		}
-		s.Close()
-	})
-	openV1 := best3(func() {
-		s, err := Open(v1Dir, Options{ReadOnly: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s.Len() != e11Trajs {
-			t.Fatal("short recovery")
-		}
-		s.Close()
-	})
-	if openV2*2 > openV1 {
-		t.Fatalf("v2 cold open %v not ≥2x faster than v1 %v (%.1fx)",
-			openV2, openV1, float64(openV1)/float64(openV2))
+	// The window query decodes exactly the blocks holding a matching row,
+	// and scans slot by slot exactly the blocks its extents can't decide.
+	want := e11WindowBlocks(cold, trajs, from, to)
+	if want.matching == 0 || want.matching >= want.total {
+		t.Fatalf("window touches %d of %d blocks — assertion would be vacuous", want.matching, want.total)
 	}
-	t.Logf("E11 cold open: v1 %v, v2 %v (%.1fx)", openV1, openV2, float64(openV1)/float64(openV2))
+	cq, err := cold.Compile(TimeOverlap(from, to))
+	if err != nil {
+		t.Fatal(err)
+	}
+	scanned := 0
+	for i := range cold.shards {
+		sh := &cold.shards[i]
+		sh.mu.RLock()
+		ctx := execCtx{s: cold, sh: sh}
+		cq.plan.exec(&ctx)
+		sh.mu.RUnlock()
+		scanned += ctx.scannedZones
+	}
+	if scanned != want.scanned || scanned >= want.total {
+		t.Fatalf("prune loop scanned %d blocks slot by slot, want %d of %d", scanned, want.scanned, want.total)
+	}
+	got, err := cold.SelectCompiledCtx(context.Background(), cq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(a) {
+		t.Fatal("cold window query diverges from the v1 answer")
+	}
+	st := cache.Stats()
+	if st.Misses != int64(want.matching) || st.Evictions != 0 {
+		t.Fatalf("window query decoded %d blocks (%d evictions), want exactly the %d of %d holding a matching row",
+			st.Misses, st.Evictions, want.matching, want.total)
+	}
+	t.Logf("E11 window: %d of %d blocks decoded, %d scanned slot by slot", st.Misses, want.total, scanned)
+}
 
-	// Windowed query from cold: ≥3x.
-	queryV2 := best3(func() { e11OpenQuery(t, v2Dir) })
-	queryV1 := best3(func() { e11OpenQuery(t, v1Dir) })
-	if queryV2*3 > queryV1 {
-		t.Fatalf("v2 cold windowed query %v not ≥3x faster than v1 %v (%.1fx)",
-			queryV2, queryV1, float64(queryV1)/float64(queryV2))
+// e11BlockCounts is what the one-day window should cost on the v2 dir.
+type e11BlockCounts struct {
+	total    int // blocks across all shards
+	matching int // blocks holding a row whose span overlaps the window
+	scanned  int // blocks whose extents neither exclude nor cover it
+}
+
+// e11WindowBlocks derives the block-level cost of TimeOverlap(from, to)
+// from the corpus alone: rows land in shards by s.shardIndex in corpus
+// order, each shard's slots fill e11BlockRows-row blocks, and each
+// block's extents and matches follow from direct time.Time comparisons.
+func e11WindowBlocks(s *Store, trajs []core.Trajectory, from, to time.Time) e11BlockCounts {
+	type ext struct {
+		minStart, maxStart, minEnd, maxEnd time.Time
+		match                              bool
 	}
-	t.Logf("E11 windowed query: v1 %v, v2 %v (%.1fx)", queryV1, queryV2, float64(queryV1)/float64(queryV2))
+	perShard := make([][]ext, len(s.shards))
+	counts := make([]int, len(s.shards))
+	for _, tr := range trajs {
+		g := s.shardIndex(tr.MO)
+		b := counts[g] / e11BlockRows
+		counts[g]++
+		st, en := tr.Start(), tr.End()
+		if b == len(perShard[g]) {
+			perShard[g] = append(perShard[g], ext{minStart: st, maxStart: st, minEnd: en, maxEnd: en})
+		}
+		e := &perShard[g][b]
+		if st.Before(e.minStart) {
+			e.minStart = st
+		}
+		if st.After(e.maxStart) {
+			e.maxStart = st
+		}
+		if en.Before(e.minEnd) {
+			e.minEnd = en
+		}
+		if en.After(e.maxEnd) {
+			e.maxEnd = en
+		}
+		if !en.Before(from) && !st.After(to) {
+			e.match = true
+		}
+	}
+	var c e11BlockCounts
+	for _, blocks := range perShard {
+		for _, e := range blocks {
+			c.total++
+			if e.match {
+				c.matching++
+			}
+			disjoint := e.maxEnd.Before(from) || e.minStart.After(to)
+			covered := !e.minEnd.Before(from) && !e.maxStart.After(to)
+			if !disjoint && !covered {
+				c.scanned++
+			}
+		}
+	}
+	return c
 }

@@ -211,7 +211,7 @@ func TestReadDetectionsCSVHeaderValidation(t *testing.T) {
 
 func TestConcurrentPutAndIndexedQueries(t *testing.T) {
 	// Parallel Put / ByMO / Overlapping / InCellDuring must be race-clean
-	// even while the lazy interval index rebuilds underneath the readers.
+	// while writers extend the zone maps underneath the readers.
 	s := fill(t)
 	var wg sync.WaitGroup
 	for w := 0; w < 12; w++ {

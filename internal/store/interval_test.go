@@ -1,5 +1,9 @@
 package store
 
+// The two-tier incremental interval index below is test-only: it is the
+// index of E7's legacy single-lock engine (e7_bench_test.go), checked by
+// incremental_test.go. The store prunes time windows with zone maps.
+
 import (
 	"sort"
 	"time"

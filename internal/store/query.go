@@ -119,6 +119,8 @@ type cplan struct {
 	kind     ckind
 	id       int32 // kCell / kPair / kMO / kRegion / kCellDuring cell id
 	from, to time.Time
+	fromN    int64 // kTime / kCellDuring: from, to as saturatingNanos
+	toN      int64
 	run      []int32    // kThrough: interned cell run
 	regs     []int32    // kThroughRegions: region indexes, run order
 	masks    [][]uint64 // kThroughRegions: per-run-member cell bitmaps
@@ -157,13 +159,13 @@ func (s *Store) compile(q Query) (*cplan, error) {
 		}
 		return &cplan{kind: kPair, id: id}, nil
 	case timeQ:
-		return &cplan{kind: kTime, from: n.from, to: n.to}, nil
+		return &cplan{kind: kTime, from: n.from, to: n.to, fromN: saturatingNanos(n.from), toN: saturatingNanos(n.to)}, nil
 	case cellDuringQ:
 		id, ok := s.cells.Lookup(n.cell)
 		if !ok {
 			return emptyPlan, nil
 		}
-		return &cplan{kind: kCellDuring, id: id, from: n.from, to: n.to}, nil
+		return &cplan{kind: kCellDuring, id: id, from: n.from, to: n.to, fromN: saturatingNanos(n.from), toN: saturatingNanos(n.to)}, nil
 	case regionQ:
 		rt := s.Regions()
 		if rt == nil {
@@ -262,15 +264,17 @@ func (s *Store) compile(q Query) (*cplan, error) {
 
 // execCtx carries the per-shard execution scratch: the shard itself, a
 // reusable dedup buffer for sequence-run checks, two reusable DP rows for
-// region runs, and the region-membership fallback for cells interned after
-// the plan's dictionary snapshot.
+// region runs, the region-membership fallback for cells interned after
+// the plan's dictionary snapshot, and the count of zones the prune loop
+// could neither skip nor take whole.
 type execCtx struct {
-	s       *Store
-	sh      *shard
-	dedup   []int32
-	reach   []bool
-	next    []bool
-	running *cplan // kThroughRegions node the membership test binds to
+	s            *Store
+	sh           *shard
+	dedup        []int32
+	reach        []bool
+	next         []bool
+	running      *cplan // kThroughRegions node the membership test binds to
+	scannedZones int    // zones tested slot by slot (zoneSlots)
 }
 
 // member reports whether the cell id belongs to run member b of the
@@ -396,35 +400,14 @@ func (c *cplan) exec(ctx *execCtx) []int32 {
 		return nil
 	case kCell, kRegion, kPair, kMO:
 		return c.postingOf(sh)
-	case kTime:
-		// Lazily held block slots first (zone-map pruned — the interval
-		// indexes only cover live rows), then the span index.
-		var slots []int32
-		if bs := sh.blk; bs != nil {
-			slots = bs.appendTimeSlots(slots, sh, c.from, c.to, ctx.s.noPrune)
-		}
-		sh.spanIdx.visit(c.from, c.to, func(ref int) { slots = append(slots, int32(ref)) })
-		slices.Sort(slots)
-		return slots
-	case kCellDuring:
-		var slots []int32
-		if bs := sh.blk; bs != nil {
-			slots = bs.appendCellDuringSlots(slots, sh, c.id, c.from, c.to, ctx.s.noPrune)
-		}
-		if ix := sh.cellIndex(c.id); ix != nil {
-			ix.visit(c.from, c.to, func(ref int) { slots = append(slots, int32(ref)) })
-		}
-		if len(slots) == 0 {
-			return nil
-		}
-		slices.Sort(slots)
-		return dedupSorted(slots)
+	case kTime, kCellDuring:
+		return c.zoneSlots(ctx)
 	case kThrough, kThroughRegions:
 		base := c.intersectPostings(sh)
 		return filterSlots(ctx, c, base)
 	case kAnd:
 		// Selectivity- and cost-ordered: the cheap children (posting lists,
-		// interval indexes, nested plans) run first in ascending-estimate
+		// zone-pruned windows, nested plans) run first in ascending-estimate
 		// order — the smallest materialises the candidate set, the rest
 		// shrink it by sorted intersection or constant-time tests. The
 		// expensive sequence-run children go last: each first shrinks the
@@ -528,7 +511,7 @@ func (c *cplan) test(ctx *execCtx, slot int32) bool {
 	case kMO:
 		return sh.moIDs[slot] == c.id
 	case kTime:
-		return !sh.ends[slot].Before(c.from) && !sh.starts[slot].After(c.to)
+		return sh.spanOverlaps(slot, c)
 	case kCellDuring:
 		tr := sh.trajAt(slot).Trace
 		for i, id := range sh.encs[slot] {

@@ -10,7 +10,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
 	"sitm/internal/core"
 	"sitm/internal/faultfs"
@@ -207,8 +206,8 @@ type segmentColumns struct {
 	moIDs  []int32
 	encs   [][]int32
 	anns   [][]int32
-	starts []time.Time
-	ends   []time.Time
+	starts []int64 // span start per row, unix nanos
+	ends   []int64
 	trajs  []core.Trajectory // residual source (encoded outside the gate)
 	blk    *shardBlocks      // lazily held prefix of trajs, if recovered from a v2 segment
 }
@@ -234,8 +233,8 @@ func encodeSegmentV1(c *segmentColumns) []byte {
 		p = appendIDs(p, ann)
 	}
 	for i := range c.starts {
-		p = binary.AppendVarint(p, c.starts[i].UnixNano())
-		p = binary.AppendVarint(p, c.ends[i].UnixNano())
+		p = binary.AppendVarint(p, c.starts[i])
+		p = binary.AppendVarint(p, c.ends[i])
 	}
 	for i := range c.trajs {
 		p = appendRowResidual(p, c.trajs[i])
@@ -247,15 +246,15 @@ func encodeSegmentV1(c *segmentColumns) []byte {
 // resolvers come from the already-loaded dict pages; every id is
 // validated, so a segment referencing symbols its dict file doesn't hold
 // is rejected (that combination cannot come from a completed checkpoint).
-func decodeSegment(data []byte, path string, cellLimit, moLimit, pairLimit int, cells, mos func(int32) string) ([]durableRow, [][2]int64, error) {
+func decodeSegment(data []byte, path string, cellLimit, moLimit, pairLimit int, cells, mos func(int32) string) ([]durableRow, error) {
 	payload, err := unframe(segMagic, data, path)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	d := &rowDecoder{b: payload}
 	n := d.count(1)
 	if d.err != nil {
-		return nil, nil, d.err
+		return nil, d.err
 	}
 	rows := make([]durableRow, n)
 	for i := range rows {
@@ -274,24 +273,23 @@ func decodeSegment(data []byte, path string, cellLimit, moLimit, pairLimit int, 
 	for i := range rows {
 		rows[i].ann = d.ids(pairLimit)
 	}
-	spans := make([][2]int64, n)
-	for i := range spans {
-		spans[i][0] = d.varint()
-		spans[i][1] = d.varint()
+	for range rows {
+		d.varint() // span columns: every row's span re-derives from its trace
+		d.varint()
 	}
 	if d.err != nil {
-		return nil, nil, fmt.Errorf("store: segment %s: %w", path, d.err)
+		return nil, fmt.Errorf("store: segment %s: %w", path, d.err)
 	}
 	for i := range rows {
 		rows[i].traj = d.rowResidual(rows[i].moID, rows[i].enc, cells, mos)
 		if d.err != nil {
-			return nil, nil, fmt.Errorf("store: segment %s row %d: %w", path, i, d.err)
+			return nil, fmt.Errorf("store: segment %s row %d: %w", path, i, d.err)
 		}
 	}
 	if len(d.b) != 0 {
-		return nil, nil, fmt.Errorf("store: segment %s: %d trailing bytes", path, len(d.b))
+		return nil, fmt.Errorf("store: segment %s: %d trailing bytes", path, len(d.b))
 	}
-	return rows, spans, nil
+	return rows, nil
 }
 
 // walFile is one discovered WAL file: its generation and path.

@@ -2,18 +2,17 @@ package store
 
 import (
 	"sync"
-	"time"
 
 	"sitm/internal/core"
 )
 
 // shard is one horizontal slice of the store: the trajectories of the
 // moving objects hashing here, with the shard's own lock, posting lists
-// and incremental interval indexes. Everything inside is keyed by dense
-// ids — cell, annotation-pair and region posting lists and per-cell
-// interval indexes are slices indexed by interned id, candidates are int32
-// slots, and the write-time encoded traces ride beside the trajectories so
-// sequence checks and the analytics handoff never look at a string again.
+// and zone maps. Everything inside is keyed by dense ids — cell,
+// annotation-pair and region posting lists are slices indexed by interned
+// id, candidates are int32 slots, and the write-time encoded traces ride
+// beside the trajectories so sequence checks and the analytics handoff
+// never look at a string again.
 type shard struct {
 	mu sync.RWMutex
 
@@ -29,9 +28,9 @@ type shard struct {
 	//sitm:guardedby mu
 	moIDs []int32 // interned moving-object id
 	//sitm:guardedby mu
-	starts []time.Time // trajectory span start (write-time, O(1) tests)
+	starts []int64 // trajectory span start, saturated unix nanos (O(1) tests)
 	//sitm:guardedby mu
-	ends []time.Time // trajectory span end
+	ends []int64 // trajectory span end, saturated unix nanos
 
 	//sitm:guardedby mu
 	//sitm:owned
@@ -46,10 +45,8 @@ type shard struct {
 	//sitm:owned
 	byRegion [][]int32 // region index → slots touching the region (ascending)
 	//sitm:guardedby mu
-	spanIdx *intervalIndex // whole-trajectory spans → slot
-	//sitm:guardedby mu
 	//sitm:owned
-	cellIdx []*intervalIndex // cell id → presence intervals → slot
+	zones []liveZone // zone maps of the live slots, segBlockRows per zone
 	//sitm:guardedby mu
 	intervals int // total presence intervals stored
 	//sitm:guardedby mu
@@ -58,9 +55,9 @@ type shard struct {
 	// blk is the lazily materialized segment prefix recovered from a v2
 	// block-structured segment (nil for in-memory stores, v1 recoveries
 	// and fresh shards): slots [0, blk.rowCount) have zero-value trajs
-	// entries and are served by blk.traj through the block cache. The
-	// prefix has no spanIdx/cellIdx entries — the plan executor covers it
-	// with zone-map pruning (block.go) instead.
+	// entries and are served by blk.traj through the block cache. Its
+	// blocks' zone maps precede the live zones in the prune loop
+	// (zoneSlots).
 	//sitm:guardedby mu
 	blk *shardBlocks
 
@@ -77,7 +74,6 @@ type shard struct {
 //sitm:locked
 func (sh *shard) init() {
 	sh.byMO = make(map[int32][]int32)
-	sh.spanIdx = newIntervalIndex()
 }
 
 // posting returns the cell's posting list (nil when the shard has never
@@ -116,17 +112,6 @@ func (sh *shard) regionPosting(region int32) []int32 {
 	return sh.byRegion[region]
 }
 
-// cellIndex returns the cell's interval index, or nil.
-//
-//sitm:locked
-//sitm:aliases
-func (sh *shard) cellIndex(cell int32) *intervalIndex {
-	if int(cell) >= len(sh.cellIdx) {
-		return nil
-	}
-	return sh.cellIdx[cell]
-}
-
 // growCell extends the dense per-cell tables to cover the id.
 //
 //sitm:locked
@@ -134,30 +119,34 @@ func (sh *shard) growCell(cell int32) {
 	for int(cell) >= len(sh.byCell) {
 		sh.byCell = append(sh.byCell, nil)
 	}
-	for int(cell) >= len(sh.cellIdx) {
-		sh.cellIdx = append(sh.cellIdx, nil)
-	}
 	for int(cell) >= len(sh.seen) {
 		sh.seen = append(sh.seen, 0) // 0 never equals a live generation
 	}
 }
 
 // addSlot appends the per-slot columns and posting-list entries of one
-// trajectory and returns its slot. regs is the trajectory's sorted
-// distinct region closure (nil without an attached region table).
-// Interval-index maintenance is left to the caller (single insert vs
-// batched insertAll).
+// trajectory, folds it into the newest live zone (opening a fresh zone
+// every segBlockRows slots) and returns its slot. regs is the
+// trajectory's sorted distinct region closure (nil without an attached
+// region table). Every write path — Put, PutBatch and recovery — goes
+// through here; nothing is re-sorted or compacted, so an insert costs
+// O(trace length).
 //
 //sitm:locked
 func (sh *shard) addSlot(seq uint64, t core.Trajectory, moID int32, enc, ann, regs []int32) int32 {
 	slot := int32(len(sh.trajs))
+	if n := len(sh.zones); n == 0 || int(sh.zones[n-1].zone.rows) >= segBlockRows {
+		sh.zones = append(sh.zones, liveZone{base: slot})
+	}
+	st, en := saturatingNanos(t.Start()), saturatingNanos(t.End())
+	sh.zones[len(sh.zones)-1].zone.fold(seq, st, en, t.Trace, enc)
 	sh.seqs = append(sh.seqs, seq)
 	sh.trajs = append(sh.trajs, t)
 	sh.encs = append(sh.encs, enc)
 	sh.anns = append(sh.anns, ann)
 	sh.moIDs = append(sh.moIDs, moID)
-	sh.starts = append(sh.starts, t.Start())
-	sh.ends = append(sh.ends, t.End())
+	sh.starts = append(sh.starts, st)
+	sh.ends = append(sh.ends, en)
 	sh.byMO[moID] = append(sh.byMO[moID], slot)
 	sh.intervals += len(enc)
 	if len(enc) > sh.maxLen {
@@ -193,23 +182,28 @@ func (sh *shard) addSlot(seq uint64, t core.Trajectory, moID int32, enc, ann, re
 	return slot
 }
 
-// insertOne indexes a single trajectory under the (held) shard lock:
-// sorted inserts into the interval-index merge buffers, O(log n + √n)
-// amortized.
+// spanOverlaps reports whether the slot's span intersects c's window. The
+// nanos columns decide exactly unless the row's own span is saturated —
+// an in-memory row outside the int64 nanosecond range, which is always
+// live (durable stores reject such rows) — and then its trajectory's
+// exact times do.
 //
 //sitm:locked
-func (sh *shard) insertOne(seq uint64, t core.Trajectory, moID int32, enc, ann, regs []int32) {
-	slot := sh.addSlot(seq, t, moID, enc, ann, regs)
-	sh.spanIdx.insert(span{start: t.Start(), end: t.End(), ref: int(slot)})
-	for i, p := range t.Trace {
-		id := enc[i]
-		ix := sh.cellIdx[id]
-		if ix == nil {
-			ix = newIntervalIndex()
-			sh.cellIdx[id] = ix
-		}
-		ix.insert(span{start: p.Start, end: p.End, ref: int(slot)})
+func (sh *shard) spanOverlaps(slot int32, c *cplan) bool {
+	st, en := sh.starts[slot], sh.ends[slot]
+	if saturated(st) || saturated(en) {
+		return sh.spanOverlapsExact(slot, c)
 	}
+	return en >= c.fromN && st <= c.toN
+}
+
+// spanOverlapsExact is spanOverlaps for a row whose span is saturated;
+// kept apart so the common nanos test inlines.
+//
+//sitm:locked
+func (sh *shard) spanOverlapsExact(slot int32, c *cplan) bool {
+	t := &sh.trajs[slot]
+	return !t.End().Before(c.from) && !t.Start().After(c.to)
 }
 
 // trajAt returns the trajectory at slot, materializing its block through
@@ -225,9 +219,9 @@ func (sh *shard) trajAt(slot int32) core.Trajectory {
 
 // insertBlockRows bulk-loads a decoded v2 segment into a fresh shard: the
 // eager columns append verbatim (trajs zero-filled), posting lists build
-// from the encoded traces, and the residual stays lazy behind sd.blocks.
-// No spanIdx/cellIdx entries are built for these slots; the executor
-// consults the zone maps instead. Returns one past the highest seq.
+// from the encoded traces, and the residual stays lazy behind sd.blocks,
+// whose decoded zone maps serve the prune loop for these slots. Returns
+// one past the highest seq.
 func (sh *shard) insertBlockRows(sd *segData) uint64 {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -286,74 +280,34 @@ func (sh *shard) insertBlockRows(sd *segData) uint64 {
 	return next
 }
 
-// insertRecovered rebuilds this shard's columns and indexes from decoded
-// durable rows (segment rows, then WAL-tail rows), carrying each row's
-// original insertion sequence explicitly — unlike insertBatch, recovered
-// sequences are not contiguous. spanNanos, when non-nil, is the segment's
-// span column (UnixNano start/end per row); nil derives spans from the
-// trajectories (the WAL-row path). Region postings are left empty: a
-// later AttachRegions rebuilds them from the recovered trajectories, the
-// same contract the in-memory store has.
-func (sh *shard) insertRecovered(rows []durableRow, spanNanos [][2]int64) {
+// insertRecovered rebuilds this shard's columns, postings and live zones
+// from decoded durable rows (v1 segment rows, then WAL-tail rows),
+// carrying each row's original insertion sequence explicitly — recovered
+// sequences are not contiguous. Region postings are left empty: a later
+// AttachRegions rebuilds them from the recovered trajectories, the same
+// contract the in-memory store has.
+func (sh *shard) insertRecovered(rows []durableRow) {
 	if len(rows) == 0 {
 		return
 	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	spans := make([]span, 0, len(rows))
-	perCell := make(map[int32][]span)
 	for ri := range rows {
 		r := &rows[ri]
-		slot := sh.addSlot(r.seq, r.traj, r.moID, r.enc, r.ann, nil)
-		st, en := r.traj.Start(), r.traj.End()
-		if spanNanos != nil {
-			st = time.Unix(0, spanNanos[ri][0]).UTC()
-			en = time.Unix(0, spanNanos[ri][1]).UTC()
-		}
-		spans = append(spans, span{start: st, end: en, ref: int(slot)})
-		for k, p := range r.traj.Trace {
-			id := r.enc[k]
-			perCell[id] = append(perCell[id], span{start: p.Start, end: p.End, ref: int(slot)})
-		}
-	}
-	sh.spanIdx.insertAll(spans)
-	for id, sp := range perCell {
-		ix := sh.cellIdx[id]
-		if ix == nil {
-			ix = newIntervalIndex()
-			sh.cellIdx[id] = ix
-		}
-		ix.insertAll(sp)
+		sh.addSlot(r.seq, r.traj, r.moID, r.enc, r.ann, nil)
 	}
 }
 
-// insertBatch indexes the batch members routed to this shard under the
-// (held) shard lock, grouping presence spans per cell so every touched
-// interval index absorbs the burst with a single buffer merge. idxs are
-// indexes into ts; trajectory ts[i] carries sequence base+i, so the batch
-// is observed in argument order. regions resolves each trajectory's region
-// closure (it must be called under the shard lock, see Store.PutBatch).
+// insertBatch inserts the batch members routed to this shard under the
+// (held) shard lock. idxs are indexes into ts; trajectory ts[i] carries
+// sequence base+i, so the batch is observed in argument order. regions
+// resolves each trajectory's region closure (it must be called under the
+// shard lock, see Store.PutBatch).
 //
 //sitm:locked
 func (sh *shard) insertBatch(base uint64, ts []core.Trajectory, idxs []int32, moIDs []int32, encs, anns [][]int32, regions func(core.Trajectory) []int32) {
-	spans := make([]span, 0, len(idxs))
-	perCell := make(map[int32][]span)
 	for _, i := range idxs {
 		t := ts[i]
-		slot := sh.addSlot(base+uint64(i), t, moIDs[i], encs[i], anns[i], regions(t))
-		spans = append(spans, span{start: t.Start(), end: t.End(), ref: int(slot)})
-		for k, p := range t.Trace {
-			id := encs[i][k]
-			perCell[id] = append(perCell[id], span{start: p.Start, end: p.End, ref: int(slot)})
-		}
-	}
-	sh.spanIdx.insertAll(spans)
-	for id, sp := range perCell {
-		ix := sh.cellIdx[id]
-		if ix == nil {
-			ix = newIntervalIndex()
-			sh.cellIdx[id] = ix
-		}
-		ix.insertAll(sp)
+		sh.addSlot(base+uint64(i), t, moIDs[i], encs[i], anns[i], regions(t))
 	}
 }

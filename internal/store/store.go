@@ -4,29 +4,30 @@
 // symbol dictionaries (internal/symtab) for cell names, moving-object ids
 // and annotation pairs, and interns them once at write time; trajectories
 // hash by moving object across N shards (default GOMAXPROCS), each shard
-// carrying its own lock, posting lists and incremental interval indexes
-// keyed by dense int32 cell ids instead of strings. Sequence checks are
-// integer compares, per-cell index lookup is slice indexing, and writers to
-// different shards never contend.
+// carrying its own lock and posting lists keyed by dense int32 ids instead
+// of strings. Sequence checks are integer compares, posting lookup is
+// slice indexing, and writers to different shards never contend.
 //
 // Read queries fan out across the shards (internal/parallel) and merge by
 // a global insertion sequence, so All, ByMO, Overlapping and
 // ThroughSequence observe the exact insertion order a single-lock store
-// would have produced. Each shard keeps the two-tier incremental interval
-// indexes of the streaming engine (sorted starts + max-end segment tree
-// with a √n merge buffer, see interval.go): temporal windows are answered
-// in O(log n + √n + matches) per shard with no rebuild ever.
+// would have produced. Temporal windows are pruned by zone maps — one per
+// segBlockRows consecutive rows, holding the rows' span extents and a
+// cell bloom filter — with one loop for rows loaded lazily from
+// checkpointed segment blocks and rows inserted since (see block.go). A
+// write folds its row into the newest zone in O(trace length); nothing is
+// ever re-sorted or rebuilt.
 //
-// On top of the indexes sits a semantic query planner (query.go): a
-// composable AST — Cell, Region, TimeOverlap, ByMO, HasAnnotation,
-// Through, ThroughRegions, CellDuring, And, Or — compiled per query into
-// interned posting-list and bitmap algebra with selectivity-ordered
-// execution. Attaching a compiled indoor hierarchy (AttachRegions, see
-// regions.go) makes every hierarchy cell a first-class region: the shards
-// maintain per-region posting lists at write time, so "who passed through
-// Wing Denon during lunch" is a posting intersection, not an
-// expand-to-leaf loop. Overlapping, InCellDuring and ThroughSequence are
-// canned plans on this engine.
+// On top of the zone maps and postings sits a semantic query planner
+// (query.go): a composable AST — Cell, Region, TimeOverlap, ByMO,
+// HasAnnotation, Through, ThroughRegions, CellDuring, And, Or — compiled
+// per query into interned posting-list and bitmap algebra with
+// selectivity-ordered execution. Attaching a compiled indoor hierarchy
+// (AttachRegions, see regions.go) makes every hierarchy cell a
+// first-class region: the shards maintain per-region posting lists at
+// write time, so "who passed through Wing Denon during lunch" is a
+// posting intersection, not an expand-to-leaf loop. Overlapping,
+// InCellDuring and ThroughSequence are canned plans on this engine.
 //
 // Because encoding happens at write time, the store can hand its contents
 // to the analytics layer with zero re-encoding: Corpus() builds a
@@ -81,10 +82,11 @@ type Store struct {
 	// the in-memory constructors. Set once before the store is shared.
 	dur *durable
 
-	// noPrune disables zone-map block pruning in the plan executor: every
-	// lazily held block falls back to per-slot tests (exact posting-list
-	// candidates are still used — they are not a heuristic). A test knob
-	// for the prune-equivalence oracle; set before the store is shared.
+	// noPrune disables zone-map pruning in the plan executor: every zone,
+	// checkpointed or live, falls back to per-slot tests (exact
+	// posting-list candidates are still used — they are not a heuristic).
+	// A test knob for the prune-equivalence oracle; set before the store
+	// is shared.
 	noPrune bool
 }
 
@@ -141,10 +143,15 @@ func (s *Store) encodeAnn(ann core.Annotations) []int32 {
 }
 
 // Put inserts a trajectory: symbols are interned once (outside any shard
-// lock), then the home shard indexes it incrementally under its own lock —
-// O(log n + √n) amortized in the shard, never a rebuild, and disjoint
-// moving objects never contend.
+// lock), then the home shard appends it under its own lock — postings and
+// the newest zone map grow in O(trace length), and disjoint moving
+// objects never contend. A durable store does not apply a trajectory
+// holding a time outside the int64 nanosecond range its WAL stores; the
+// rejection is reported by Sync.
 func (s *Store) Put(t core.Trajectory) {
+	if s.dur != nil && !s.dur.admit("Put", t) {
+		return
+	}
 	enc := s.cells.EncodeTrace(t.Trace)
 	moID := s.mos.Intern(t.MO)
 	ann := s.encodeAnn(t.Ann)
@@ -157,18 +164,21 @@ func (s *Store) Put(t core.Trajectory) {
 	seq := s.nextSeq.Add(1) - 1
 	// Region closures resolve under the shard lock so every insert orders
 	// cleanly against a concurrent AttachRegions rebuild.
-	sh.insertOne(seq, t, moID, enc, ann, s.trajectoryRegions(t))
+	sh.addSlot(seq, t, moID, enc, ann, s.trajectoryRegions(t))
 	sh.mu.Unlock()
 }
 
 // PutBatch inserts many trajectories, encoding everything outside the
 // locks, reserving one contiguous block of insertion sequences (so the
 // batch is observed in argument order, exactly like sequential Puts), and
-// then visiting every touched shard once: one lock acquisition and one
-// interval-index buffer merge per touched index — the amortized write path
-// of streaming ingestion.
+// then visiting every touched shard once: one lock acquisition per touched
+// shard — the amortized write path of streaming ingestion. Like Put, a
+// durable store rejects a batch holding an unstorable time — whole.
 func (s *Store) PutBatch(ts []core.Trajectory) {
 	if len(ts) == 0 {
+		return
+	}
+	if s.dur != nil && !s.dur.admit("PutBatch", ts...) {
 		return
 	}
 	encs := make([][]int32, len(ts))
@@ -396,10 +406,11 @@ func (s *Store) ThroughCell(cell string) []core.Trajectory {
 
 // InCellDuring returns the MOs present in the cell at any point during
 // [from, to] (inclusive bounds, presence intervals intersecting the
-// window), sorted — the canned CellDuring plan: each shard walks its own
-// per-cell interval index (a slice lookup by dense cell id), so cost
-// scales with the matches, not the cell's total visit history; MOs never
-// span shards, so the per-shard distinct sets union without dedup.
+// window), sorted — the canned CellDuring plan: each shard walks the
+// cell's posting list zone by zone, skipping zones whose bloom filter
+// lacks the cell or whose extents miss the window, and checks a
+// candidate's span before its presence intervals; MOs never span shards,
+// so the per-shard distinct sets union without dedup.
 func (s *Store) InCellDuring(cell string, from, to time.Time) []string {
 	out, _ := s.SelectMOs(CellDuring(cell, from, to))
 	return out
@@ -407,8 +418,10 @@ func (s *Store) InCellDuring(cell string, from, to time.Time) []string {
 
 // Overlapping returns the trajectories whose time span intersects
 // [from, to], in insertion order — the canned TimeOverlap plan, answered
-// by the per-shard trajectory-span interval indexes (current on every
-// completed Put; served under shared read locks).
+// by each shard's zone maps (current on every completed Put; served under
+// shared read locks): zones the window misses are skipped, zones it
+// covers are taken whole, and the rest are tested row by row. The window
+// may lie in any year.
 func (s *Store) Overlapping(from, to time.Time) []core.Trajectory {
 	out, _ := s.Select(TimeOverlap(from, to))
 	return out
@@ -539,13 +552,13 @@ func (s *Store) WriteJSON(w io.Writer) error {
 
 // ReadJSON loads trajectories previously written by WriteJSON into the
 // store (appending). The whole load goes through PutBatch: one lock
-// acquisition and one interval-index buffer merge per touched index,
-// matching the streaming write path instead of paying per-trajectory
-// locking and index maintenance.
+// acquisition per touched shard, matching the streaming write path
+// instead of paying per-trajectory locking.
 //
 // The load is all-or-nothing: every trajectory is validated before the
-// first insert, so a decode or validation error leaves the store
-// untouched. The input must be exactly one JSON value — trailing
+// first insert — including that every time lies inside the int64
+// nanosecond range the durable formats store — so a decode or validation
+// error leaves the store untouched. The input must be exactly one JSON value — trailing
 // non-whitespace data (a torn write, a concatenated pair of store files)
 // is rejected rather than silently ignored. A JSON null is a valid empty
 // store (Go's encoder writes nil slices as null) and loads nothing.
@@ -564,7 +577,7 @@ func (s *Store) ReadJSON(r io.Reader) error {
 		return fmt.Errorf("store: decode: trailing data: %w", err)
 	}
 	ts := make([]core.Trajectory, 0, len(in))
-	for _, jt := range in {
+	for i, jt := range in {
 		var trace core.Trace
 		for _, p := range jt.Trace {
 			trace = append(trace, core.PresenceInterval{
@@ -575,6 +588,9 @@ func (s *Store) ReadJSON(r io.Reader) error {
 		t, err := core.NewTrajectory(jt.MO, trace, jt.Ann)
 		if err != nil {
 			return fmt.Errorf("store: trajectory %q: %w", jt.MO, err)
+		}
+		if err := checkTrajectoryTimes(t); err != nil {
+			return fmt.Errorf("store: trajectory %d: %w", i, err)
 		}
 		ts = append(ts, t)
 	}
@@ -610,6 +626,8 @@ var detectionsHeader = []string{"mo", "cell", "start", "end"}
 // the ingestion path for live feeds and files too large to slurp. The first
 // row must be the mo,cell,start,end header; a headerless file is rejected
 // rather than silently dropping what would have been its first detection.
+// A time outside the int64 nanosecond range (before 1677-09-21 or after
+// 2262-04-11) fails its row: the durable formats could not store it.
 // A non-nil error from fn aborts the stream and is returned verbatim.
 func StreamDetectionsCSV(r io.Reader, fn func(core.Detection) error) error {
 	cr := csv.NewReader(r)
@@ -648,6 +666,9 @@ func StreamDetectionsCSV(r io.Reader, fn func(core.Detection) error) error {
 		end, err := time.Parse(time.RFC3339Nano, row[3])
 		if err != nil {
 			return fmt.Errorf("store: csv row %d end: %w", line, err)
+		}
+		if err := checkTimeRange(start, end); err != nil {
+			return fmt.Errorf("store: csv row %d: %w", line, err)
 		}
 		if err := fn(core.Detection{MO: row[0], Cell: row[1], Start: start, End: end}); err != nil {
 			return err

@@ -405,8 +405,8 @@ func KMedoidsMatrix(sim [][]float64, k int, seed int64) Clusters {
 // Store is a concurrency-safe in-memory trajectory store: a sharded,
 // dictionary-encoded engine. Cell and MO names are interned once at write
 // time; trajectories hash by MO across shards, each with its own lock,
-// integer posting lists and incremental interval indexes, so Overlapping
-// and InCellDuring are answered in O(log n + matches) per shard and
+// integer posting lists and per-block zone maps, so Overlapping and
+// InCellDuring skip every block of rows the window cannot touch and
 // ThroughSequence intersects integer posting lists before integer
 // sequence-checking. Read queries fan out across shards and merge in
 // insertion order. GetByMO and GetThroughCell report missing keys as
