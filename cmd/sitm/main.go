@@ -133,8 +133,10 @@ commands:
              engine) and report the profiles
   gml        export the Louvre space graph as IndoorGML-style XML (-out file)
              and verify the round trip
-  compact    checkpoint a durable store directory (-store dir): fold the
-             write-ahead log into immutable columnar segments
+  compact    checkpoint a durable store directory (-store dir): write the
+             rows logged since the last checkpoint as one more generation
+             of immutable columnar segments (earlier ones are kept, not
+             merged)
   inspect    dump a durable store directory (-store dir or positional):
              manifest, per-segment block layout with zone-map extents,
              and the block format's compression ratio`)
@@ -542,8 +544,8 @@ func runIngest(args []string, out io.Writer) (err error) {
 			return err
 		}
 		if d, ok := st.Durability(); ok {
-			fmt.Fprintf(out, "durable store %s: segment gen %d, %d WAL bytes pending compaction\n",
-				d.Dir, d.Gen, d.WALBytes)
+			fmt.Fprintf(out, "durable store %s: segment gen %d, %d segments, %d WAL bytes pending compaction\n",
+				d.Dir, d.Gen, d.Segments, d.WALBytes)
 		}
 	}
 	sum := st.Summarize()
@@ -893,9 +895,11 @@ func runGML(args []string, out io.Writer) error {
 	return nil
 }
 
-// runCompact checkpoints a durable store directory: the WAL tail is
-// compacted into immutable columnar segments and the replayed WAL files
-// are deleted, so the next open recovers from columns alone.
+// runCompact checkpoints a durable store directory: the WAL tail — the
+// rows written since the last checkpoint — becomes one more generation of
+// immutable columnar segments and the replayed WAL files are deleted, so
+// the next open recovers from columns alone. Earlier generations are kept
+// as they are; merging them is not done.
 func runCompact(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("compact", flag.ExitOnError)
 	dir := fs.String("store", "", "durable store directory")
@@ -916,8 +920,8 @@ func runCompact(args []string, out io.Writer) error {
 	}
 	after, _ := st.Durability()
 	fmt.Fprintln(out, "store:", st.Summarize())
-	fmt.Fprintf(out, "compacted %s: segment gen %d → %d, wal bytes %d → %d\n",
-		*dir, before.Gen, after.Gen, before.WALBytes, after.WALBytes)
+	fmt.Fprintf(out, "compacted %s: segment gen %d → %d, segments %d → %d, wal bytes %d → %d\n",
+		*dir, before.Gen, after.Gen, before.Segments, after.Segments, before.WALBytes, after.WALBytes)
 	return st.Close()
 }
 

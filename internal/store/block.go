@@ -433,24 +433,13 @@ func (d *rowDecoder) skipLocalAnn(limit int) {
 
 // ---- Encoding ------------------------------------------------------------
 
-// residualSource returns the per-row trajectory column for re-encoding:
-// the in-memory trajs column, with any lazily held block prefix
-// materialized block-by-block through the shared cache (a checkpoint after
-// a cold open must not write empty residuals for rows it never touched).
-func (c *segmentColumns) residualSource() []core.Trajectory {
-	if c.blk == nil || c.blk.rowCount == 0 {
-		return c.trajs
-	}
-	out := c.blk.allTrajs()
-	return append(out, c.trajs[c.blk.rowCount:]...)
-}
-
 // encodeSegmentV2 lays the captured columns out as a block-structured
-// segment: segBlockRows rows per block, per-column cheap encodings, one
-// CRC and zone map per block.
+// segment: segBlockRows rows per block (the last one partial), per-column
+// cheap encodings, one CRC and zone map per block. c.trajs must hold every
+// row's trajectory.
 func encodeSegmentV2(c *segmentColumns) []byte {
 	n := len(c.seqs)
-	trajs := c.residualSource()
+	trajs := c.trajs
 	var payloads [][]byte
 	var zones []zoneMap
 	var bufs blockBufs
@@ -1057,10 +1046,11 @@ func validateBlockResidual(res []byte, sd *segData, base, rows int, tscale int64
 // ---- Lazy block state ----------------------------------------------------
 
 // shardBlocks is a shard's lazily materialized segment prefix: slots
-// [0, rowCount) were recovered from a v2 segment with their eager columns
-// inserted but their trajectory column empty. traj materializes a slot's
-// block through the shared cache on demand. All fields are immutable after
-// open, so reads need no lock beyond the cache's own.
+// [0, rowCount) were recovered from the shard's v2 segments, one
+// generation after another, with their eager columns inserted but their
+// trajectory column empty. traj materializes a slot's block through the
+// shared cache on demand. All fields are immutable after open, so reads
+// need no lock beyond the cache's own.
 type shardBlocks struct {
 	cache    *BlockCache
 	segID    uint64
@@ -1126,8 +1116,8 @@ func blockFootprint(info *blockInfo, rows int) int64 {
 	return int64(len(info.res))*4 + int64(rows)*128
 }
 
-// allTrajs materializes every block in order (the checkpoint re-encode
-// path), touching each block exactly once.
+// allTrajs materializes every block in order, touching each block
+// exactly once.
 func (bs *shardBlocks) allTrajs() []core.Trajectory {
 	out := make([]core.Trajectory, 0, bs.rowCount)
 	for b := range bs.blocks {

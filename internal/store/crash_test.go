@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"sitm/internal/core"
@@ -157,63 +158,144 @@ func crashRecoverRowWAL(t *testing.T, shards int, seed int64) {
 	}
 }
 
-// TestCrashRecoveryCheckpointPlusTornTail cuts the post-checkpoint WAL
-// generation: recovery must load every checkpointed row from the segment
-// columns and then splice in exactly the surviving tail rows.
+// TestCrashRecoveryCheckpointPlusTornTail crashes a store between and
+// inside its checkpoints. Between: after each of three checkpoints, the
+// generation's WAL tail is cut at frame boundaries and mid-frame, and
+// recovery must load every checkpointed row from the segment generations
+// committed so far, then splice in exactly the surviving tail rows.
+// Inside: a checkpoint that crashed before its manifest commit leaves a
+// torn segment of an unlisted generation, which recovery must ignore; a
+// torn committed segment, by contrast, must fail the open and name it.
 func TestCrashRecoveryCheckpointPlusTornTail(t *testing.T) {
+	const rounds = 3
 	for _, shards := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			dir := t.TempDir()
 			rng := rand.New(rand.NewSource(int64(300 + shards)))
-			pre := randomCorpusTrajs(rng, 30)
-			post := randomCorpusTrajs(rng, 30)
-
+			pre := make([][]core.Trajectory, rounds)
+			post := make([][]core.Trajectory, rounds)
 			s := mustOpen(t, dir, Options{Shards: shards})
-			s.PutBatch(pre)
-			if err := s.Checkpoint(); err != nil {
-				t.Fatal(err)
-			}
-			sizes := make([][]int64, shards)
-			for g := range sizes {
-				sizes[g] = append(sizes[g], rowWALSize(s, g))
-			}
-			for _, tr := range post {
-				s.Put(tr)
+			for r := range rounds {
+				pre[r] = randomCorpusTrajs(rng, 20)
+				post[r] = randomCorpusTrajs(rng, 12)
+				s.PutBatch(pre[r])
+				if err := s.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+				sizes := make([][]int64, shards)
 				for g := range sizes {
 					sizes[g] = append(sizes[g], rowWALSize(s, g))
 				}
-			}
-			mustClose(t, s)
-
-			for g := 0; g < shards; g++ {
-				final := sizes[g][len(sizes[g])-1]
-				cuts := []int64{0, final}
-				for i := 0; i < 4; i++ {
-					cuts = append(cuts, rng.Int63n(final+1))
+				for _, tr := range post[r] {
+					s.Put(tr)
+					for g := range sizes {
+						sizes[g] = append(sizes[g], rowWALSize(s, g))
+					}
 				}
-				for _, cut := range cuts {
-					probe := copyTree(t, dir)
-					if err := os.Truncate(walRowPath(probe, 2, g), cut); err != nil {
+				if err := s.Sync(); err != nil {
+					t.Fatal(err)
+				}
+				snap := copyTree(t, dir)
+				walGen := uint64(r + 2) // the WAL generation checkpoint r+1 rotated to
+
+				// oracle replays the same calls in the same order (same
+				// interning), with only the surviving tail puts of round r.
+				oracle := func(probe string, survives func(i int) bool) *Store {
+					ref := NewSharded(1)
+					for j := 0; j < r; j++ {
+						ref.PutBatch(pre[j])
+						for _, tr := range post[j] {
+							ref.Put(tr)
+						}
+					}
+					ref.PutBatch(pre[r])
+					seedDictsFromWAL(t, ref, walDictPath(probe, walGen))
+					for i, tr := range post[r] {
+						if survives(i) {
+							ref.Put(tr)
+						}
+					}
+					return ref
+				}
+				for g := 0; g < shards; g++ {
+					final := sizes[g][len(sizes[g])-1]
+					// Frame boundaries (between rows) and arbitrary offsets
+					// (inside a frame).
+					cuts := []int64{0, final, sizes[g][rng.Intn(len(sizes[g]))]}
+					for i := 0; i < 2; i++ {
+						cuts = append(cuts, rng.Int63n(final+1))
+					}
+					for _, cut := range cuts {
+						probe := copyTree(t, snap)
+						if err := os.Truncate(walRowPath(probe, walGen, g), cut); err != nil {
+							t.Fatal(err)
+						}
+						ref := oracle(probe, func(i int) bool {
+							routedHere := sizes[g][i+1] > sizes[g][i]
+							return !routedHere || sizes[g][i+1] <= cut
+						})
+						got := mustOpen(t, probe, Options{})
+						if gotJSON, want := storeJSON(t, got), storeJSON(t, ref); gotJSON != want {
+							t.Fatalf("shards=%d round=%d shard=%d cut=%d: checkpoint+tail recovery diverged", shards, r, g, cut)
+						}
+						compareStores(t, ref, got, rng)
+						mustClose(t, got)
+					}
+				}
+
+				// Inside the next checkpoint: its dictionary delta and a torn
+				// segment landed, its manifest commit did not.
+				probe := copyTree(t, snap)
+				img, err := os.ReadFile(segPath(probe, uint64(r+1), 0))
+				if err != nil {
+					t.Fatal(err)
+				}
+				dictImg, err := os.ReadFile(segDictPath(probe, uint64(r+1)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(segDictPath(probe, uint64(r+2)), dictImg, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(segPath(probe, uint64(r+2), 0), img[:len(img)/2], 0o644); err != nil {
+					t.Fatal(err)
+				}
+				ref := oracle(probe, func(int) bool { return true })
+				got := mustOpen(t, probe, Options{})
+				if gotJSON, want := storeJSON(t, got), storeJSON(t, ref); gotJSON != want {
+					t.Fatalf("shards=%d round=%d: recovery over an uncommitted torn segment diverged", shards, r)
+				}
+				mustClose(t, got)
+
+				// A torn committed segment (the first shard's that holds a
+				// block): at its header's end, between blocks, and inside its
+				// first block.
+				for g := 0; g < shards; g++ {
+					path := segPath(snap, uint64(r+1), g)
+					img, err := os.ReadFile(path)
+					if err != nil {
 						t.Fatal(err)
 					}
-					ref := NewSharded(1)
-					ref.PutBatch(pre) // same call shape: same interning order
-					seedDictsFromWAL(t, ref, walDictPath(probe, 2))
-					for i, tr := range post {
-						routedHere := sizes[g][i+1] > sizes[g][i]
-						if routedHere && sizes[g][i+1] > cut {
-							continue
+					offs := segBlockOffsets(t, img)
+					if len(offs) < 2 {
+						continue
+					}
+					for _, cut := range []int{offs[0], (offs[0] + offs[1]) / 2} {
+						probe := copyTree(t, snap)
+						path := segPath(probe, uint64(r+1), g)
+						if err := os.Truncate(path, int64(cut)); err != nil {
+							t.Fatal(err)
 						}
-						ref.Put(tr)
+						for _, ro := range []bool{true, false} {
+							if _, err := Open(probe, Options{ReadOnly: ro}); err == nil || !strings.Contains(err.Error(), path) {
+								t.Fatalf("shards=%d round=%d cut=%d read-only=%v: open over a torn committed segment: %v", shards, r, cut, ro, err)
+							}
+						}
 					}
-					got := mustOpen(t, probe, Options{})
-					if gotJSON, want := storeJSON(t, got), storeJSON(t, ref); gotJSON != want {
-						t.Fatalf("shards=%d shard=%d cut=%d: checkpoint+tail recovery diverged", shards, g, cut)
-					}
-					compareStores(t, ref, got, rng)
-					mustClose(t, got)
+					break
 				}
 			}
+			mustClose(t, s)
 		})
 	}
 }

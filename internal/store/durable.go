@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -32,15 +34,18 @@ import (
 // the prefix, and never consistency.
 //
 // Checkpoint protocol: under the gate held exclusive — so no append or
-// insert is in flight — capture slice headers of every shard's append-only
-// columns plus full dictionary pages, rotate every WAL to a fresh
-// generation, and release the gate. Segments and dict pages are then
-// encoded and committed (temp + rename) off the write path, and the
-// MANIFEST rename is the commit point: rows with seq < manifest.next_seq
-// live in segments, everything after replays from the WALs. Failures
-// before the manifest commit leave the old manifest pointing at the old
-// segments while recovery replays both WAL generations — nothing is lost,
-// the checkpoint just didn't happen.
+// insert is in flight — capture slice headers over every shard's rows
+// since the last committed generation plus the dictionary symbols interned
+// since then, rotate every WAL to a fresh generation, and release the
+// gate. That tail is then encoded as one new segment per shard and one
+// dictionary delta file, committed (temp + rename) off the write path, and
+// the MANIFEST rename — which appends the new generation to the ordered
+// list of committed ones — is the commit point: rows with seq <
+// manifest.next_seq live in segments, everything after replays from the
+// WALs. A checkpoint costs O(rows since the previous one), not O(store).
+// Failures before the manifest commit leave the old manifest listing the
+// old generations while recovery replays both WAL generations — nothing
+// is lost, the checkpoint just didn't happen.
 
 // Options tune a durable store opened with Open.
 type Options struct {
@@ -124,7 +129,13 @@ type durable struct {
 	// ckptMu serializes Checkpoint/Close against each other.
 	ckptMu sync.Mutex
 	//sitm:guardedby ckptMu
-	gen uint64 // committed segment generation (0 = none)
+	gen uint64 // newest committed segment generation (0 = none)
+	//sitm:guardedby ckptMu
+	gens []uint64 // committed generations the next manifest keeps, oldest first
+	//sitm:guardedby ckptMu
+	ckptRows []int // per shard: leading slots held by the kept generations' segments
+	//sitm:guardedby ckptMu
+	ckptDict [3]int // per dictionary: symbols held by the kept generations' files
 	//sitm:guardedby ckptMu
 	walGen uint64 // generation of the current WAL files
 	//sitm:guardedby ckptMu
@@ -299,34 +310,48 @@ func (s *Store) Sync() error {
 }
 
 // ckptSnapshot is everything a checkpoint captures under the gate: the
-// watermark, full dictionary pages, and per-shard column slice headers
-// (safe to read after release — the columns are append-only, so later
-// writers either append past the captured length or move to a new array).
+// watermark, the dictionary symbols interned since the last committed
+// generation, and per shard column slice headers over the slots added
+// since then (safe to read after release — the columns are append-only,
+// so later writers either append past the captured length or move to a
+// new array).
 type ckptSnapshot struct {
 	nextSeq uint64
-	cells   []string
-	mos     []string
-	pairs   []string
+	dict    dictDelta
 	shards  []segmentColumns
 }
 
-// rotate runs under the gate held exclusive: captures the snapshot, swaps
-// every WAL to the pre-created next-generation logs, and closes (flushing
-// and syncing) the old ones. It returns the snapshot and the old WAL
-// paths for post-commit deletion.
-func (d *durable) rotate(s *Store, newDict *wal.Log, newRows []*wal.Log) (*ckptSnapshot, []string) {
+// empty reports a tail with no row and no symbol: nothing to commit.
+func (snap *ckptSnapshot) empty() bool {
+	for i := range snap.shards {
+		if len(snap.shards[i].seqs) > 0 {
+			return false
+		}
+	}
+	return snap.dict.empty()
+}
+
+// rotate runs under the gate held exclusive: captures the snapshot of
+// what follows the committed dictionary lengths dictFrom and shard slots
+// rowsFrom, swaps every WAL to the pre-created next-generation logs, and
+// closes (flushing and syncing) the old ones. It returns the snapshot and
+// the old WAL paths for post-commit deletion.
+func (d *durable) rotate(s *Store, dictFrom [3]int, rowsFrom []int, newDict *wal.Log, newRows []*wal.Log) (*ckptSnapshot, []string) {
 	snap := &ckptSnapshot{
 		nextSeq: s.nextSeq.Load(),
-		cells:   s.cells.SymbolsFrom(0),
-		mos:     s.mos.SymbolsFrom(0),
-		pairs:   s.pairs.SymbolsFrom(0),
 		shards:  make([]segmentColumns, len(s.shards)),
+	}
+	for k, dict := range s.dictKinds() {
+		snap.dict.from[k] = dictFrom[k]
+		snap.dict.syms[k] = dict.SymbolsFrom(dictFrom[k])
 	}
 	oldPaths := make([]string, 0, len(s.shards)+1)
 	d.dictMu.Lock()
 	oldDict := d.dictLog
 	d.dictLog = newDict
-	d.dictLogged = [3]int{len(snap.cells), len(snap.mos), len(snap.pairs)}
+	for k := range d.dictLogged {
+		d.dictLogged[k] = snap.dict.from[k] + len(snap.dict.syms[k])
+	}
 	d.dictMu.Unlock()
 	if err := oldDict.Close(); err != nil {
 		d.fail(err)
@@ -334,10 +359,13 @@ func (d *durable) rotate(s *Store, newDict *wal.Log, newRows []*wal.Log) (*ckptS
 	oldPaths = append(oldPaths, oldDict.Path())
 	for i := range s.shards {
 		sh := &s.shards[i]
+		// The kept segments hold slots [0, from), every block-backed slot
+		// among them, so the tail is live rows only.
+		from := rowsFrom[i]
 		sh.mu.RLock()
 		snap.shards[i] = segmentColumns{
-			seqs: sh.seqs, moIDs: sh.moIDs, encs: sh.encs, anns: sh.anns,
-			starts: sh.starts, ends: sh.ends, trajs: sh.trajs, blk: sh.blk,
+			seqs: sh.seqs[from:], moIDs: sh.moIDs[from:], encs: sh.encs[from:], anns: sh.anns[from:],
+			starts: sh.starts[from:], ends: sh.ends[from:], trajs: sh.trajs[from:],
 		}
 		sh.mu.RUnlock()
 		rl := &d.rows[i]
@@ -354,14 +382,17 @@ func (d *durable) rotate(s *Store, newDict *wal.Log, newRows []*wal.Log) (*ckptS
 	return snap, oldPaths
 }
 
-// Checkpoint compacts the WALs into a new immutable segment generation:
-// rotate-and-capture stops the world only for slice-header copies and
-// file swaps; encoding and committing the segments happens with writers
-// flowing into the fresh WALs. On success the replayed-away WAL files and
-// the previous segment generation are deleted. A failure leaves the
-// previous generation authoritative and every row still recoverable from
-// the (now two generations of) WAL files. Checkpoint on an in-memory
-// store is a no-op.
+// Checkpoint commits everything written since the last checkpoint as a
+// new generation: one segment per shard holding the rows each shard
+// gained, and one dictionary delta file. Rotate-and-capture stops the
+// world only for slice-header copies and file swaps; encoding and
+// committing happen with writers flowing into the fresh WALs, and cost
+// O(rows since the previous checkpoint). On success the replayed-away WAL
+// files are deleted; earlier generations stay, listed before the new one.
+// A checkpoint with nothing new writes no generation. A failure leaves the
+// previous generations authoritative and every row still recoverable from
+// the (now two generations of) WAL files. Checkpoint on an in-memory store
+// is a no-op.
 func (s *Store) Checkpoint() error {
 	d := s.dur
 	if d == nil {
@@ -388,7 +419,7 @@ func (s *Store) Checkpoint() error {
 		return retry.MarkTransient(err)
 	}
 	d.gate.Lock()
-	snap, oldWAL := d.rotate(s, newDict, newRows)
+	snap, oldWAL := d.rotate(s, d.ckptDict, d.ckptRows, newDict, newRows)
 	d.gate.Unlock()
 	d.walGen = nextWAL
 	// The rotated-out files stay tracked until a checkpoint commits: on
@@ -398,14 +429,22 @@ func (s *Store) Checkpoint() error {
 	if err := d.sticky(); err != nil {
 		return err
 	}
+	if snap.empty() {
+		// Every row and symbol the rotated WALs hold is already in a
+		// committed generation.
+		removeAll(d.fs, d.staleWAL)
+		d.staleWAL = nil
+		return nil
+	}
 
 	// Encode and commit off the write path. Failures here (temp-file
 	// write, fsync, manifest rename) happen before the commit point: the
-	// previous generation stays authoritative and every row is still
+	// previous generations stay authoritative and every row is still
 	// recoverable from the WALs, so these errors are marked transient —
-	// callers may simply call Checkpoint again.
+	// callers may simply call Checkpoint again, which rewrites this
+	// generation with whatever arrived since.
 	gen := d.gen + 1
-	if err := commitFile(d.fs, segDictPath(d.dir, gen), encodeDictFile(snap.cells, snap.mos, snap.pairs)); err != nil {
+	if err := commitFile(d.fs, segDictPath(d.dir, gen), encodeDictDelta(&snap.dict)); err != nil {
 		return retry.MarkTransient(err)
 	}
 	segErrs := make([]error, len(snap.shards))
@@ -417,23 +456,25 @@ func (s *Store) Checkpoint() error {
 			return retry.MarkTransient(err)
 		}
 	}
-	man := &manifest{Version: manifestVersion, Shards: len(d.rows), Gen: gen, NextSeq: snap.nextSeq}
+	gens := append(slices.Clip(d.gens), gen)
+	man := &manifest{Version: manifestVersion, Shards: len(d.rows), Gen: gen, NextSeq: snap.nextSeq, Gens: gens}
 	if err := writeManifest(d.fs, d.dir, man); err != nil {
 		return retry.MarkTransient(err)
 	}
 
-	// Committed: the old WAL generations and the old segments are dead.
-	oldGen := d.gen
-	d.gen = gen
+	// Committed: the rotated WAL generations are dead, and so is any
+	// generation the new manifest no longer lists (a version-1 layout's
+	// rewritten SITMSEG1 generation).
+	d.gen, d.gens = gen, gens
+	for i := range d.ckptRows {
+		d.ckptRows[i] += len(snap.shards[i].seqs)
+	}
+	for k := range d.ckptDict {
+		d.ckptDict[k] = snap.dict.from[k] + len(snap.dict.syms[k])
+	}
 	removeAll(d.fs, d.staleWAL)
 	d.staleWAL = nil
-	if oldGen > 0 {
-		old := []string{segDictPath(d.dir, oldGen)}
-		for i := range d.rows {
-			old = append(old, segPath(d.dir, oldGen, i))
-		}
-		removeAll(d.fs, old)
-	}
+	sweepDir(d.fs, filepath.Join(d.dir, segDirName), gens)
 	return nil
 }
 
@@ -539,7 +580,8 @@ func (s *Store) ReadOnly() bool {
 // false for an in-memory store.
 type DurableStats struct {
 	Dir      string
-	Gen      uint64 // committed segment generation (0 = none yet)
+	Gen      uint64 // newest committed segment generation (0 = none yet)
+	Segments int    // committed segments across shards, one per shard per generation
 	WALBytes int64  // live WAL bytes awaiting compaction
 }
 
@@ -550,41 +592,53 @@ func (s *Store) Durability() (DurableStats, bool) {
 		return DurableStats{}, false
 	}
 	d.ckptMu.Lock()
-	st := DurableStats{Dir: d.dir, Gen: d.gen, WALBytes: d.walLive.Load()}
+	st := DurableStats{Dir: d.dir, Gen: d.gen, Segments: len(d.gens) * len(d.rows), WALBytes: d.walLive.Load()}
 	d.ckptMu.Unlock()
 	return st, true
 }
 
-// loadSegment decodes one shard's segment file, dispatching on the format
-// magic: v2 block-structured segments (SITMSEG2) bulk-insert their eager
-// columns and leave the residual rows lazy behind the block cache; v1
-// monolithic segments (SITMSEG1) decode in full, keeping directories
+// loadSegments loads one shard's listed segments in generation order.
+// v2 block-structured segments (SITMSEG2) are all decoded first and then
+// bulk-inserted together, their residual rows left lazy behind the block
+// cache; the v1 monolithic segment (SITMSEG1) a version-1 manifest's one
+// generation may hold decodes in full into live rows, keeping directories
 // written by older builds readable. Returns one past the highest row seq
-// in the segment (0 when empty).
-func (s *Store) loadSegment(shard int, data []byte, path string, cache *BlockCache) (uint64, error) {
-	if len(data) >= len(segMagicV2) && string(data[:len(segMagicV2)]) == segMagicV2 {
-		sd, err := decodeSegmentV2(data, path,
-			s.cells.Len(), s.mos.Len(), s.pairs.Len(),
-			s.cells.Symbol, s.mos.Symbol, cache)
+// loaded (0 when none) and whether the segment was v1.
+func (s *Store) loadSegments(fsys faultfs.FS, dir string, shard int, gens []uint64, v1ok bool, cache *BlockCache) (uint64, bool, error) {
+	var segs []*segData
+	for _, gen := range gens {
+		path := segPath(dir, gen, shard)
+		data, err := fsys.ReadFile(path)
 		if err != nil {
-			return 0, err
+			return 0, false, fmt.Errorf("store: %s lists generation %d: %w", manifestName, gen, err)
 		}
-		return s.shards[shard].insertBlockRows(sd), nil
-	}
-	rows, err := decodeSegment(data, path,
-		s.cells.Len(), s.mos.Len(), s.pairs.Len(),
-		s.cells.Symbol, s.mos.Symbol)
-	if err != nil {
-		return 0, err
-	}
-	var next uint64
-	for r := range rows {
-		if rows[r].seq >= next {
-			next = rows[r].seq + 1
+		if len(data) >= len(segMagicV2) && string(data[:len(segMagicV2)]) == segMagicV2 {
+			sd, err := decodeSegmentV2(data, path,
+				s.cells.Len(), s.mos.Len(), s.pairs.Len(),
+				s.cells.Symbol, s.mos.Symbol, cache)
+			if err != nil {
+				return 0, false, err
+			}
+			segs = append(segs, sd)
+			continue
 		}
+		if !v1ok {
+			return 0, false, fmt.Errorf("store: segment %s: not a %s segment", path, segMagicV2)
+		}
+		rows, err := decodeSegment(data, path,
+			s.cells.Len(), s.mos.Len(), s.pairs.Len(),
+			s.cells.Symbol, s.mos.Symbol)
+		if err != nil {
+			return 0, false, err
+		}
+		var next uint64
+		for r := range rows {
+			next = max(next, rows[r].seq+1)
+		}
+		s.shards[shard].insertRecovered(rows)
+		return next, true, nil
 	}
-	s.shards[shard].insertRecovered(rows)
-	return next, nil
+	return s.shards[shard].insertBlockRows(segs), false, nil
 }
 
 // BlockCacheStats returns the residual-block cache counters of a durable
@@ -603,13 +657,174 @@ func (s *Store) BlockCacheStats() (BlockCacheStats, bool) {
 // torn tail for that shard.
 var errStaleRow = errors.New("row references unrecovered dictionary symbols")
 
-// Open opens (creating if needed) a durable store rooted at dir: load the
-// committed segment generation's dict pages and columnar segments, then
-// replay the WAL tail — dict deltas first, then each shard's rows, with
-// rows below the manifest watermark skipped (they live in the segments).
-// Torn WAL tails are truncated silently (the crash contract); corruption
-// inside intact frames or segment files is a hard error, never a silent
-// partial load.
+// walReplay replays one WAL file through fn and returns its intact byte
+// count: Open's keeps the log open for appending (truncating a torn tail),
+// a read-only open's scans it through wal.ScanFS.
+type walReplay func(path string, fn func(typ byte, payload []byte) error) (int64, error)
+
+// recovered is what recoverDir rebuilt from a directory.
+type recovered struct {
+	s         *Store
+	cache     *BlockCache
+	dictFiles []walFile
+	rowFiles  [][]walFile
+	walBytes  int64
+	// What the next checkpoint keeps: the committed generations, and the
+	// leading slots per shard and symbols per dictionary they hold.
+	gens     []uint64
+	ckptRows []int
+	ckptDict [3]int
+}
+
+// recoverDir is the one recovery pipeline of writable and read-only opens:
+// (1) the committed generations' dictionary files in order, (2) the
+// dict-WAL deltas of every WAL generation in order, (3) each shard's
+// committed segments in generation order, appended into one block-backed
+// prefix, then (4) each shard's row-WAL tail, skipping rows below the
+// manifest watermark (they live in the segments). Torn WAL tails end
+// replay silently (the crash contract); corruption inside intact frames or
+// committed files is a hard error, never a silent partial load, and so is
+// a file the manifest lists that is missing.
+func recoverDir(fsys faultfs.FS, dir string, man *manifest, opts Options, replay walReplay) (*recovered, error) {
+	nShards := man.Shards
+	s := NewSharded(nShards)
+	gens := man.generations()
+	rec := &recovered{s: s, gens: gens, ckptRows: make([]int, nShards)}
+
+	// 1. Dictionaries: each generation's file continues the previous one;
+	// the concatenation is each dictionary's committed image.
+	var syms [3][]string
+	for _, gen := range gens {
+		path := segDictPath(dir, gen)
+		data, err := fsys.ReadFile(path)
+		if err != nil {
+			return nil, fmt.Errorf("store: %s lists generation %d: %w", manifestName, gen, err)
+		}
+		dd, err := decodeDictFile(data, path)
+		if err != nil {
+			return nil, err
+		}
+		for k := range syms {
+			if dd.from[k] != len(syms[k]) {
+				return nil, fmt.Errorf("store: %s: dictionary %d continues at id %d, want %d", path, k, dd.from[k], len(syms[k]))
+			}
+			syms[k] = append(syms[k], dd.syms[k]...)
+		}
+	}
+	for k, dict := range []**symtab.SyncDict{&s.cells, &s.mos, &s.pairs} {
+		var err error
+		if *dict, err = symtab.NewSyncDictFromSymbols(syms[k]); err != nil {
+			return nil, err
+		}
+		rec.ckptDict[k] = len(syms[k])
+	}
+
+	// 2. Dict-WAL deltas (before the segments' row decode would not matter
+	// — segments validate against the committed files alone — but rows
+	// replayed later may reference delta symbols, so deltas apply first).
+	dicts := s.dictKinds()
+	var err error
+	rec.dictFiles, rec.rowFiles, err = listWALFiles(fsys, dir, nShards)
+	if err != nil {
+		return nil, err
+	}
+	for _, wf := range rec.dictFiles {
+		n, err := replay(wf.path, func(typ byte, payload []byte) error {
+			if typ != recDict {
+				return fmt.Errorf("record type %d in dict wal", typ)
+			}
+			return applyDictDelta(dicts, payload)
+		})
+		if err != nil {
+			return nil, err
+		}
+		rec.walBytes += n
+	}
+
+	// 3. Segments, shards in parallel: v2 segments append their eager
+	// columns and leave residuals lazy behind the block cache; a version-1
+	// manifest's SITMSEG1 segments decode in full.
+	rec.cache = opts.BlockCache
+	if rec.cache == nil {
+		rec.cache = NewBlockCache(opts.BlockCacheBytes)
+	}
+	maxSeqs := make([]uint64, nShards)
+	v1 := make([]bool, nShards)
+	errs := make([]error, nShards)
+	parallel.ForEach(nShards, func(i int) {
+		maxSeqs[i], v1[i], errs[i] = s.loadSegments(fsys, dir, i, gens, man.Version == manifestV1, rec.cache)
+		sh := &s.shards[i]
+		sh.mu.RLock()
+		rec.ckptRows[i] = len(sh.seqs)
+		sh.mu.RUnlock()
+	})
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
+	}
+	if slices.Contains(v1, true) {
+		if slices.Contains(v1, false) {
+			return nil, fmt.Errorf("store: %s: generation %d mixes %s and %s segments", dir, man.Gen, segMagic, segMagicV2)
+		}
+		// The rows of a SITMSEG1 generation are live, not block-backed:
+		// the next checkpoint rewrites them, with the whole dictionary, as
+		// a v2 generation, and its commit drops this one.
+		rec.gens, rec.ckptRows, rec.ckptDict = nil, make([]int, nShards), [3]int{}
+	}
+
+	// 4. Row-WAL tails per shard (generation order), skipping checkpointed
+	// rows.
+	replayBytes := make([]int64, nShards)
+	parallel.ForEach(nShards, func(i int) {
+		var rows []durableRow
+		for _, wf := range rec.rowFiles[i] {
+			n, err := replay(wf.path, func(typ byte, payload []byte) error {
+				if typ != recRow {
+					return fmt.Errorf("record type %d in row wal", typ)
+				}
+				row, err := decodeRow(payload,
+					s.cells.Len(), s.mos.Len(), s.pairs.Len(),
+					s.cells.Symbol, s.mos.Symbol)
+				if err != nil {
+					if errors.Is(err, errStaleRow) {
+						return wal.ErrStopReplay
+					}
+					return err
+				}
+				if row.seq < man.NextSeq {
+					return nil // already in the segments
+				}
+				rows = append(rows, row)
+				return nil
+			})
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			replayBytes[i] += n
+		}
+		for r := range rows {
+			maxSeqs[i] = max(maxSeqs[i], rows[r].seq+1)
+		}
+		s.shards[i].insertRecovered(rows)
+	})
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
+	}
+	nextSeq := man.NextSeq
+	for i := range maxSeqs {
+		rec.walBytes += replayBytes[i]
+		nextSeq = max(nextSeq, maxSeqs[i])
+	}
+	s.nextSeq.Store(nextSeq)
+	return rec, nil
+}
+
+// Open opens (creating if needed) a durable store rooted at dir and
+// recovers it (recoverDir) with every WAL file opened for appending, so
+// torn tails are truncated. The newest WAL generation stays open for
+// writes; older ones are deleted by the next checkpoint. A writable open
+// also deletes what a crash or a failed checkpoint left behind: temp files
+// and files of generations the manifest does not list.
 func Open(dir string, opts Options) (*Store, error) {
 	fsys := faultfs.Or(opts.FS)
 	if opts.ReadOnly {
@@ -630,215 +845,92 @@ func Open(dir string, opts Options) (*Store, error) {
 		if nShards != 0 && nShards != man.Shards {
 			return nil, fmt.Errorf("store: directory %s has %d shards; Options.Shards is %d (use 0 to adopt)", dir, man.Shards, nShards)
 		}
-		nShards = man.Shards
-	}
-	s := NewSharded(nShards)
-	nShards = len(s.shards)
-	if man == nil {
+	} else {
+		if nShards <= 0 {
+			nShards = runtime.GOMAXPROCS(0)
+		}
 		man = &manifest{Version: manifestVersion, Shards: nShards}
 		if err := writeManifest(fsys, dir, man); err != nil {
 			return nil, err
 		}
 	}
+	nShards = man.Shards
 
-	// 1. Dictionaries from the committed pages.
-	if man.Gen > 0 {
-		path := segDictPath(dir, man.Gen)
-		data, err := fsys.ReadFile(path)
-		if err != nil {
-			return nil, err
-		}
-		cells, mos, pairs, err := decodeDictFile(data, path)
-		if err != nil {
-			return nil, err
-		}
-		if s.cells, err = symtab.NewSyncDictFromSymbols(cells); err != nil {
-			return nil, err
-		}
-		if s.mos, err = symtab.NewSyncDictFromSymbols(mos); err != nil {
-			return nil, err
-		}
-		if s.pairs, err = symtab.NewSyncDictFromSymbols(pairs); err != nil {
-			return nil, err
-		}
-	}
-
-	// 2. Dict WAL replay (before segments' row decode would not matter —
-	// segments validate against the pages alone — but rows replayed later
-	// may reference delta symbols, so deltas apply first).
-	dictFiles, rowFiles, err := listWALFiles(fsys, dir, nShards)
-	if err != nil {
-		return nil, err
-	}
-	var (
-		openLogs []*wal.Log // every log left open, for cleanup on error
-		stale    []string   // replayed files no longer appended to
-		walBytes int64
-	)
-	fail := func(err error) (*Store, error) {
-		for _, lg := range openLogs {
+	var logsMu sync.Mutex
+	logs := map[string]*wal.Log{} // every log left open, for cleanup on error
+	closeLogs := func() {
+		for _, lg := range logs {
 			lg.Close()
 		}
+	}
+	rec, err := recoverDir(fsys, dir, man, opts, func(path string, fn func(byte, []byte) error) (int64, error) {
+		lg, err := wal.OpenFS(fsys, path, fn)
+		if err != nil {
+			return 0, err
+		}
+		logsMu.Lock()
+		logs[path] = lg
+		logsMu.Unlock()
+		return lg.Size(), nil
+	})
+	if err != nil {
+		closeLogs()
 		return nil, err
 	}
-	dicts := s.dictKinds()
-	var dictLog *wal.Log
-	for fi, wf := range dictFiles {
-		lg, err := wal.OpenFS(fsys, wf.path, func(typ byte, payload []byte) error {
-			if typ != recDict {
-				return fmt.Errorf("record type %d in dict wal", typ)
-			}
-			return applyDictDelta(dicts, payload)
-		})
-		if err != nil {
-			return fail(err)
-		}
-		openLogs = append(openLogs, lg)
-		walBytes += lg.Size()
-		if fi == len(dictFiles)-1 {
-			dictLog = lg
-		} else {
-			stale = append(stale, wf.path)
-		}
-	}
 
-	// 3. Segments: rebuild each shard's columns, in parallel. The decode
-	// is version-dispatched: v2 block-structured segments insert their
-	// eager columns and defer residual decode behind the block cache; v1
-	// monolithic segments decode in full.
-	cache := opts.BlockCache
-	if cache == nil {
-		cache = NewBlockCache(opts.BlockCacheBytes)
-	}
-	maxSeqs := make([]uint64, nShards)
-	if man.Gen > 0 {
-		segErrs := make([]error, nShards)
-		parallel.ForEach(nShards, func(i int) {
-			path := segPath(dir, man.Gen, i)
-			data, err := fsys.ReadFile(path)
-			if err != nil {
-				segErrs[i] = err
-				return
-			}
-			maxSeqs[i], segErrs[i] = s.loadSegment(i, data, path, cache)
-		})
-		for _, err := range segErrs {
-			if err != nil {
-				return fail(err)
-			}
-		}
-	}
-
-	// 4. Row WAL replay per shard (gen order), skipping checkpointed rows.
-	rowLogs := make([]*wal.Log, nShards)
-	perShardStale := make([][]string, nShards)
-	replayErrs := make([]error, nShards)
-	replayBytes := make([]int64, nShards)
-	parallel.ForEach(nShards, func(i int) {
-		var rows []durableRow
-		for fi, wf := range rowFiles[i] {
-			lg, err := wal.OpenFS(fsys, wf.path, func(typ byte, payload []byte) error {
-				if typ != recRow {
-					return fmt.Errorf("record type %d in row wal", typ)
-				}
-				row, err := decodeRow(payload,
-					s.cells.Len(), s.mos.Len(), s.pairs.Len(),
-					s.cells.Symbol, s.mos.Symbol)
-				if err != nil {
-					if errors.Is(err, errStaleRow) {
-						return wal.ErrStopReplay
-					}
-					return err
-				}
-				if row.seq < man.NextSeq {
-					return nil // already in the segments
-				}
-				rows = append(rows, row)
-				return nil
-			})
-			if err != nil {
-				replayErrs[i] = err
-				return
-			}
-			replayBytes[i] += lg.Size()
-			if fi == len(rowFiles[i])-1 {
-				rowLogs[i] = lg
-			} else {
-				perShardStale[i] = append(perShardStale[i], wf.path)
-				lg.Close()
-			}
-		}
-		for r := range rows {
-			if rows[r].seq >= maxSeqs[i] {
-				maxSeqs[i] = rows[r].seq + 1
-			}
-		}
-		s.shards[i].insertRecovered(rows)
-	})
-	for _, err := range replayErrs {
-		if err != nil {
-			for _, lg := range rowLogs {
-				if lg != nil {
-					lg.Close()
-				}
-			}
-			return fail(err)
-		}
-	}
-	for i := range rowLogs {
-		if rowLogs[i] != nil {
-			openLogs = append(openLogs, rowLogs[i])
-		}
-		walBytes += replayBytes[i]
-		stale = append(stale, perShardStale[i]...)
-	}
-
-	// 5. Current WAL generation: append to the newest existing files,
-	// creating any that are missing at the highest generation seen.
+	// Current WAL generation: append to the newest existing files, creating
+	// any that are missing at the highest generation seen; the older files
+	// are only read again if this open's first checkpoint fails.
+	var stale []string
 	walGen := uint64(1)
-	for _, wf := range dictFiles {
-		if wf.gen > walGen {
-			walGen = wf.gen
+	newest := func(files []walFile) *wal.Log {
+		if len(files) == 0 {
+			return nil
 		}
+		for _, wf := range files[:len(files)-1] {
+			stale = append(stale, wf.path)
+			logs[wf.path].Close()
+			delete(logs, wf.path)
+		}
+		walGen = max(walGen, files[len(files)-1].gen)
+		return logs[files[len(files)-1].path]
 	}
-	for i := range rowFiles {
-		for _, wf := range rowFiles[i] {
-			if wf.gen > walGen {
-				walGen = wf.gen
-			}
-		}
+	dictLog := newest(rec.dictFiles)
+	rowLogs := make([]*wal.Log, nShards)
+	for i := range rowLogs {
+		rowLogs[i] = newest(rec.rowFiles[i])
 	}
 	if dictLog == nil {
 		if dictLog, err = wal.CreateFS(fsys, walDictPath(dir, walGen)); err != nil {
-			return fail(err)
+			closeLogs()
+			return nil, err
 		}
-		openLogs = append(openLogs, dictLog)
+		logs[dictLog.Path()] = dictLog
 	}
 	for i := range rowLogs {
 		if rowLogs[i] == nil {
 			if rowLogs[i], err = wal.CreateFS(fsys, walRowPath(dir, walGen, i)); err != nil {
-				return fail(err)
+				closeLogs()
+				return nil, err
 			}
-			openLogs = append(openLogs, rowLogs[i])
+			logs[rowLogs[i].Path()] = rowLogs[i]
 		}
 	}
+	sweepDir(fsys, dir, nil)
+	sweepDir(fsys, filepath.Join(dir, segDirName), man.generations())
 
-	nextSeq := man.NextSeq
-	for _, ms := range maxSeqs {
-		if ms > nextSeq {
-			nextSeq = ms
-		}
-	}
-	s.nextSeq.Store(nextSeq)
-
+	s := rec.s
 	d := &durable{
 		dir:      dir,
 		opts:     opts,
 		fs:       fsys,
-		cache:    cache,
+		cache:    rec.cache,
 		dictLog:  dictLog,
 		rows:     make([]rowLog, nShards),
 		gen:      man.Gen,
+		gens:     rec.gens,
+		ckptRows: rec.ckptRows,
+		ckptDict: rec.ckptDict,
 		walGen:   walGen,
 		staleWAL: stale,
 		dictLogged: [3]int{
@@ -848,17 +940,16 @@ func Open(dir string, opts Options) (*Store, error) {
 	for i := range d.rows {
 		d.rows[i] = rowLog{log: rowLogs[i]}
 	}
-	d.walLive.Store(walBytes)
+	d.walLive.Store(rec.walBytes)
 	s.dur = d
 	return s, nil
 }
 
-// openReadOnly is Open's read-only half: the same recovery pipeline —
-// dict pages, dict-WAL deltas, segments, row-WAL tails — but through
-// wal.ScanFS, which neither opens files for writing nor truncates torn
-// tails, and with no manifest bootstrap or WAL creation. The loaded
-// state is exactly what a read-write open would recover; the directory
-// is left byte-identical.
+// openReadOnly is Open's read-only half: the same recovery pipeline, but
+// through wal.ScanFS, which neither opens files for writing nor truncates
+// torn tails, and with no manifest bootstrap, WAL creation or leftover
+// sweep. The loaded state is exactly what a read-write open would
+// recover; the directory is left byte-identical.
 func openReadOnly(fsys faultfs.FS, dir string, opts Options) (*Store, error) {
 	man, err := readManifest(fsys, dir)
 	if err != nil {
@@ -870,142 +961,25 @@ func openReadOnly(fsys faultfs.FS, dir string, opts Options) (*Store, error) {
 	if opts.Shards != 0 && opts.Shards != man.Shards {
 		return nil, fmt.Errorf("store: directory %s has %d shards; Options.Shards is %d (use 0 to adopt)", dir, man.Shards, opts.Shards)
 	}
-	nShards := man.Shards
-	s := NewSharded(nShards)
-
-	// 1. Dictionaries from the committed pages.
-	if man.Gen > 0 {
-		path := segDictPath(dir, man.Gen)
-		data, err := fsys.ReadFile(path)
-		if err != nil {
-			return nil, err
-		}
-		cells, mos, pairs, err := decodeDictFile(data, path)
-		if err != nil {
-			return nil, err
-		}
-		if s.cells, err = symtab.NewSyncDictFromSymbols(cells); err != nil {
-			return nil, err
-		}
-		if s.mos, err = symtab.NewSyncDictFromSymbols(mos); err != nil {
-			return nil, err
-		}
-		if s.pairs, err = symtab.NewSyncDictFromSymbols(pairs); err != nil {
-			return nil, err
-		}
-	}
-
-	// 2. Dict-WAL deltas, all generations in order.
-	dictFiles, rowFiles, err := listWALFiles(fsys, dir, nShards)
+	rec, err := recoverDir(fsys, dir, man, opts, func(path string, fn func(byte, []byte) error) (int64, error) {
+		return wal.ScanFS(fsys, path, fn)
+	})
 	if err != nil {
 		return nil, err
 	}
-	dicts := s.dictKinds()
-	var walBytes int64
-	for _, wf := range dictFiles {
-		n, err := wal.ScanFS(fsys, wf.path, func(typ byte, payload []byte) error {
-			if typ != recDict {
-				return fmt.Errorf("record type %d in dict wal", typ)
-			}
-			return applyDictDelta(dicts, payload)
-		})
-		if err != nil {
-			return nil, err
-		}
-		walBytes += n
-	}
-
-	// 3. Segments, in parallel (version-dispatched, like Open).
-	cache := opts.BlockCache
-	if cache == nil {
-		cache = NewBlockCache(opts.BlockCacheBytes)
-	}
-	maxSeqs := make([]uint64, nShards)
-	if man.Gen > 0 {
-		segErrs := make([]error, nShards)
-		parallel.ForEach(nShards, func(i int) {
-			path := segPath(dir, man.Gen, i)
-			data, err := fsys.ReadFile(path)
-			if err != nil {
-				segErrs[i] = err
-				return
-			}
-			maxSeqs[i], segErrs[i] = s.loadSegment(i, data, path, cache)
-		})
-		for _, err := range segErrs {
-			if err != nil {
-				return nil, err
-			}
-		}
-	}
-
-	// 4. Row-WAL tails per shard, skipping checkpointed rows.
-	replayErrs := make([]error, nShards)
-	replayBytes := make([]int64, nShards)
-	parallel.ForEach(nShards, func(i int) {
-		var rows []durableRow
-		for _, wf := range rowFiles[i] {
-			n, err := wal.ScanFS(fsys, wf.path, func(typ byte, payload []byte) error {
-				if typ != recRow {
-					return fmt.Errorf("record type %d in row wal", typ)
-				}
-				row, err := decodeRow(payload,
-					s.cells.Len(), s.mos.Len(), s.pairs.Len(),
-					s.cells.Symbol, s.mos.Symbol)
-				if err != nil {
-					if errors.Is(err, errStaleRow) {
-						return wal.ErrStopReplay
-					}
-					return err
-				}
-				if row.seq < man.NextSeq {
-					return nil // already in the segments
-				}
-				rows = append(rows, row)
-				return nil
-			})
-			if err != nil {
-				replayErrs[i] = err
-				return
-			}
-			replayBytes[i] += n
-		}
-		for r := range rows {
-			if rows[r].seq >= maxSeqs[i] {
-				maxSeqs[i] = rows[r].seq + 1
-			}
-		}
-		s.shards[i].insertRecovered(rows)
-	})
-	for _, err := range replayErrs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	for i := range replayBytes {
-		walBytes += replayBytes[i]
-	}
-
-	nextSeq := man.NextSeq
-	for _, ms := range maxSeqs {
-		if ms > nextSeq {
-			nextSeq = ms
-		}
-	}
-	s.nextSeq.Store(nextSeq)
-
 	d := &durable{
 		dir:      dir,
 		opts:     opts,
 		fs:       fsys,
-		cache:    cache,
+		cache:    rec.cache,
 		readOnly: true,
-		rows:     make([]rowLog, nShards),
+		rows:     make([]rowLog, man.Shards),
 		gen:      man.Gen,
+		gens:     rec.gens,
 	}
-	d.walLive.Store(walBytes)
-	s.dur = d
-	return s, nil
+	d.walLive.Store(rec.walBytes)
+	rec.s.dur = d
+	return rec.s, nil
 }
 
 // applyDictDelta replays one dict-delta record: kind byte, start id,

@@ -101,8 +101,9 @@ func TestDurableObservablyEquivalent(t *testing.T) {
 }
 
 // TestDurableCheckpointLifecycle checks generation bookkeeping: WAL bytes
-// accumulate, a checkpoint moves them into a new segment generation and
-// resets the WAL, and old generations disappear.
+// accumulate, each checkpoint moves them into a new segment generation
+// and resets the WAL, earlier generations stay on disk beside it, and
+// exactly one WAL generation remains.
 func TestDurableCheckpointLifecycle(t *testing.T) {
 	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(7))
@@ -113,50 +114,59 @@ func TestDurableCheckpointLifecycle(t *testing.T) {
 	if !ok {
 		t.Fatal("Durability() not ok on a durable store")
 	}
-	if st.Gen != 0 || st.WALBytes == 0 {
-		t.Fatalf("before checkpoint: gen=%d walBytes=%d", st.Gen, st.WALBytes)
+	if st.Gen != 0 || st.Segments != 0 || st.WALBytes == 0 {
+		t.Fatalf("before checkpoint: %+v", st)
 	}
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	st, _ = s.Durability()
-	if st.Gen != 1 || st.WALBytes != 0 {
-		t.Fatalf("after checkpoint: gen=%d walBytes=%d", st.Gen, st.WALBytes)
+	if st.Gen != 1 || st.Segments != 2 || st.WALBytes != 0 {
+		t.Fatalf("after checkpoint: %+v", st)
 	}
 	s.PutBatch(randomCorpusTrajs(rng, 10))
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	st, _ = s.Durability()
-	if st.Gen != 2 {
-		t.Fatalf("after second checkpoint: gen=%d", st.Gen)
+	if st.Gen != 2 || st.Segments != 4 {
+		t.Fatalf("after second checkpoint: %+v", st)
 	}
 	mustClose(t, s)
 
-	// Old generation files must be gone; gen-2 files must exist.
-	if _, err := os.Stat(segDictPath(dir, 1)); !os.IsNotExist(err) {
-		t.Fatalf("gen-1 dict file still present: %v", err)
+	// Both generations: one dictionary delta and one segment per shard each.
+	want := []string{
+		"00000001-0000.seg", "00000001-0001.seg", "00000001.dict",
+		"00000002-0000.seg", "00000002-0001.seg", "00000002.dict",
 	}
-	if _, err := os.Stat(segDictPath(dir, 2)); err != nil {
-		t.Fatalf("gen-2 dict file missing: %v", err)
+	if got := dirNames(t, filepath.Join(dir, segDirName)); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("seg dir has %v, want %v", got, want)
 	}
-	for i := 0; i < 2; i++ {
-		if _, err := os.Stat(segPath(dir, 2, i)); err != nil {
-			t.Fatalf("gen-2 segment %d missing: %v", i, err)
-		}
-	}
-	// Exactly one WAL generation should remain.
-	entries, err := os.ReadDir(filepath.Join(dir, walDirName))
+	man, err := readManifest(faultfs.OS, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 3 { // dict + 2 shard row logs
-		var names []string
-		for _, e := range entries {
-			names = append(names, e.Name())
-		}
-		t.Fatalf("wal dir has %v, want exactly one generation (3 files)", names)
+	if man.Version != manifestVersion || man.Gen != 2 || fmt.Sprint(man.Gens) != "[1 2]" {
+		t.Fatalf("manifest %+v, want version %d listing generations [1 2]", man, manifestVersion)
 	}
+	// Exactly one WAL generation should remain.
+	if got := dirNames(t, filepath.Join(dir, walDirName)); fmt.Sprint(got) != "[00000003-0000.row.wal 00000003-0001.row.wal 00000003.dict.wal]" {
+		t.Fatalf("wal dir has %v, want exactly generation 3 (3 files)", got)
+	}
+}
+
+// dirNames lists a directory's entry names in order.
+func dirNames(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	return names
 }
 
 // TestDurableInMemoryNoOps: Sync/Checkpoint/Close on the in-memory

@@ -34,6 +34,7 @@ import (
 
 	"sitm/internal/core"
 	"sitm/internal/faultfs"
+	"sitm/internal/symtab"
 )
 
 const (
@@ -54,10 +55,20 @@ func e11Corpus(tb testing.TB) []core.Trajectory {
 	return trajs
 }
 
+// encodeDictFile serializes the three full dictionary pages: the
+// dictionary file of a version-1 manifest's generation.
+func encodeDictFile(cells, mos, pairs []string) []byte {
+	var payload []byte
+	payload = symtab.AppendPage(payload, cells)
+	payload = symtab.AppendPage(payload, mos)
+	payload = symtab.AppendPage(payload, pairs)
+	return frame(dictMagic, payload)
+}
+
 // writeLegacySegmentDir writes a checkpointed durable directory in the
 // monolithic v1 segment format — byte-for-byte what the pre-block encoder
-// produced: v1 segments, dict pages, a committed manifest, and an empty
-// WAL directory (a clean checkpoint has no tail).
+// produced: v1 segments, dict pages, a committed version-1 manifest, and
+// an empty WAL directory (a clean checkpoint has no tail).
 func writeLegacySegmentDir(tb testing.TB, dir string, trajs []core.Trajectory, shards int) {
 	tb.Helper()
 	mem := NewSharded(shards)
@@ -83,7 +94,7 @@ func writeLegacySegmentDir(tb testing.TB, dir string, trajs []core.Trajectory, s
 			tb.Fatal(err)
 		}
 	}
-	man := &manifest{Version: manifestVersion, Shards: shards, Gen: gen, NextSeq: mem.nextSeq.Load()}
+	man := &manifest{Version: manifestV1, Shards: shards, Gen: gen, NextSeq: mem.nextSeq.Load()}
 	if err := writeManifest(fsys, dir, man); err != nil {
 		tb.Fatal(err)
 	}

@@ -11,8 +11,9 @@ import (
 )
 
 // InspectDir renders a human-readable report of a durable store
-// directory: the committed MANIFEST, then per segment its format version,
-// on-disk size, rows, block count and zone-map extents, and finally the
+// directory: the committed MANIFEST, then per committed generation its
+// dictionary delta and, per shard, the segment's format version, on-disk
+// size, rows, block count and zone-map extents, and finally the
 // compression ratio of the block format against a v1 re-encode of the
 // same rows. The report backs the `sitm inspect` subcommand and is
 // read-only: the directory is opened exactly as a read replica would.
@@ -21,11 +22,43 @@ func InspectDir(dir string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "MANIFEST: version %d, %d shards, segment gen %d, next seq %d\n",
-		man.Version, man.Shards, man.Gen, man.NextSeq)
-	if man.Gen == 0 {
+	gens := man.generations()
+	fmt.Fprintf(w, "MANIFEST: version %d, %d shards, generations %v, next seq %d\n",
+		man.Version, man.Shards, gens, man.NextSeq)
+	if len(gens) == 0 {
 		fmt.Fprintln(w, "no committed segments (WAL only)")
 		return nil
+	}
+
+	var diskBytes int64
+	for _, gen := range gens {
+		path := segDictPath(dir, gen)
+		data, err := faultfs.OS.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		dd, err := decodeDictFile(data, path)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "dictionary %08d: %d bytes, +%d cells, +%d MOs, +%d pairs\n",
+			gen, len(data), len(dd.syms[0]), len(dd.syms[1]), len(dd.syms[2]))
+		for i := 0; i < man.Shards; i++ {
+			path := segPath(dir, gen, i)
+			data, err := faultfs.OS.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			diskBytes += int64(len(data))
+			fmt.Fprintf(w, "segment %08d-%04d: %d bytes, ", gen, i, len(data))
+			if len(data) >= len(segMagicV2) && string(data[:len(segMagicV2)]) == segMagicV2 {
+				if err := inspectV2Segment(data, w); err != nil {
+					return fmt.Errorf("%s: %w", path, err)
+				}
+			} else {
+				fmt.Fprintf(w, "format v1 (monolithic)\n")
+			}
+		}
 	}
 
 	// The store itself is the v1 re-encode baseline: a read-only open
@@ -37,32 +70,14 @@ func InspectDir(dir string, w io.Writer) error {
 		return err
 	}
 	defer s.Close()
-
-	var diskBytes, v1Bytes int64
-	for i := 0; i < man.Shards; i++ {
-		path := segPath(dir, man.Gen, i)
-		data, err := faultfs.OS.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		diskBytes += int64(len(data))
-		fmt.Fprintf(w, "segment %08d-%04d: %d bytes, ", man.Gen, i, len(data))
-		if len(data) >= len(segMagicV2) && string(data[:len(segMagicV2)]) == segMagicV2 {
-			if err := inspectV2Segment(data, w); err != nil {
-				return fmt.Errorf("%s: %w", path, err)
-			}
-		} else {
-			fmt.Fprintf(w, "format v1 (monolithic)\n")
-		}
-
+	var v1Bytes int64
+	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
 		cols := segmentColumns{
 			seqs: sh.seqs, moIDs: sh.moIDs, encs: sh.encs, anns: sh.anns,
-			starts: sh.starts, ends: sh.ends, trajs: sh.trajs, blk: sh.blk,
+			starts: sh.starts, ends: sh.ends, trajs: sh.allTrajs(),
 		}
-		cols.trajs = cols.residualSource()
-		cols.blk = nil
 		v1Bytes += int64(len(encodeSegmentV1(&cols)))
 		sh.mu.RUnlock()
 	}

@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -18,26 +20,35 @@ import (
 
 // On-disk layout of a durable store directory (DESIGN.md §3.10):
 //
-//	dir/MANIFEST.json        commit point: {version, shards, gen, next_seq}
-//	dir/seg/<gen>.dict       dict pages (cells, mos, pairs) as of gen
-//	dir/seg/<gen>-<shard>.seg one immutable columnar segment per shard
+//	dir/MANIFEST.json        commit point: {version, shards, gen, next_seq, gens}
+//	dir/seg/<gen>.dict       dictionary delta: the symbols gen added
+//	dir/seg/<gen>-<shard>.seg one immutable columnar segment per shard: the
+//	                         rows the shard gained since the previous gen
 //	dir/wal/<gen>.dict.wal   dict-delta WAL (global)
 //	dir/wal/<gen>-<shard>.row.wal row WAL, one per shard
 //
-// Segments and the dict file are written to a temp name and renamed; the
-// MANIFEST rename is the checkpoint's commit point. Every non-WAL file is
-// framed magic + payload + trailing CRC32C, so a half-written file (crash
-// before rename can't leave one visible, but a torn rename target on a
-// non-atomic filesystem could) is detected, not half-loaded.
+// Each checkpoint adds one generation and the manifest lists every
+// committed generation in order; a store is the concatenation of its
+// generations, then the WAL tail. Segments and the dict file are written
+// to a temp name and renamed; the MANIFEST rename is the checkpoint's
+// commit point. Every non-WAL file is framed magic + payload + trailing
+// CRC32C, so a half-written file (crash before rename can't leave one
+// visible, but a torn rename target on a non-atomic filesystem could) is
+// detected, not half-loaded.
 
 const (
-	manifestName    = "MANIFEST.json"
-	walDirName      = "wal"
-	segDirName      = "seg"
-	manifestVersion = 1
+	manifestName = "MANIFEST.json"
+	walDirName   = "wal"
+	segDirName   = "seg"
+	// manifestV1 is the single-generation layout older builds write: one
+	// full dictionary file and one segment per shard at Gen. Read, never
+	// written.
+	manifestV1      = 1
+	manifestVersion = 2
 
-	segMagic  = "SITMSEG1"
-	dictMagic = "SITMDCT1"
+	segMagic       = "SITMSEG1"
+	dictMagic      = "SITMDCT1" // full dictionary pages (manifest v1)
+	dictDeltaMagic = "SITMDCT2" // per dictionary: first new id + page
 
 	// WAL record types.
 	recDict byte = 1 // dict delta: kind, startID, symbol page
@@ -48,8 +59,19 @@ const (
 type manifest struct {
 	Version int    `json:"version"`
 	Shards  int    `json:"shards"`
-	Gen     uint64 `json:"gen"`      // segment generation (0 = none)
+	Gen     uint64 `json:"gen"`      // newest segment generation (0 = none)
 	NextSeq uint64 `json:"next_seq"` // rows with seq < NextSeq live in segments
+	// Gens lists the committed generations, oldest first (version 2; a
+	// version-1 manifest's only generation is Gen).
+	Gens []uint64 `json:"gens,omitempty"`
+}
+
+// generations returns the committed generations, oldest first.
+func (m *manifest) generations() []uint64 {
+	if m.Version == manifestV1 && m.Gen > 0 {
+		return []uint64{m.Gen}
+	}
+	return m.Gens
 }
 
 func segDictPath(dir string, gen uint64) string {
@@ -80,11 +102,21 @@ func readManifest(fsys faultfs.FS, dir string) (*manifest, error) {
 	if err := json.Unmarshal(data, &m); err != nil {
 		return nil, fmt.Errorf("store: manifest: %w", err)
 	}
-	if m.Version != manifestVersion {
-		return nil, fmt.Errorf("store: manifest version %d, want %d", m.Version, manifestVersion)
+	if m.Version != manifestVersion && m.Version != manifestV1 {
+		return nil, fmt.Errorf("store: manifest version %d, want %d or %d", m.Version, manifestV1, manifestVersion)
 	}
 	if m.Shards <= 0 {
 		return nil, fmt.Errorf("store: manifest shards %d", m.Shards)
+	}
+	if m.Version == manifestVersion {
+		for i, g := range m.Gens {
+			if g == 0 || i > 0 && g <= m.Gens[i-1] {
+				return nil, fmt.Errorf("store: manifest generations %v not strictly ascending", m.Gens)
+			}
+		}
+		if n := len(m.Gens); n > 0 && m.Gens[n-1] != m.Gen || n == 0 && m.Gen != 0 {
+			return nil, fmt.Errorf("store: manifest gen %d is not its newest generation %v", m.Gen, m.Gens)
+		}
 	}
 	return &m, nil
 }
@@ -170,33 +202,61 @@ func unframe(magic string, data []byte, path string) ([]byte, error) {
 	return payload, nil
 }
 
-// encodeDictFile serializes the three dictionary pages.
-func encodeDictFile(cells, mos, pairs []string) []byte {
-	var payload []byte
-	payload = symtab.AppendPage(payload, cells)
-	payload = symtab.AppendPage(payload, mos)
-	payload = symtab.AppendPage(payload, pairs)
-	return frame(dictMagic, payload)
+// dictDelta is the symbols one generation added to the three store
+// dictionaries (cells, mos, pairs — the dictKinds order): dictionary k
+// gained syms[k] at ids [from[k], from[k]+len(syms[k])).
+type dictDelta struct {
+	from [3]int
+	syms [3][]string
 }
 
-func decodeDictFile(data []byte, path string) (cells, mos, pairs []string, err error) {
-	payload, err := unframe(dictMagic, data, path)
+func (dd *dictDelta) empty() bool {
+	return len(dd.syms[0])+len(dd.syms[1])+len(dd.syms[2]) == 0
+}
+
+// encodeDictDelta serializes a generation's dictionary file: per
+// dictionary the first new id and a symbol page — a dict-WAL delta
+// record per dictionary, framed and checksummed.
+func encodeDictDelta(dd *dictDelta) []byte {
+	var payload []byte
+	for k := range dd.syms {
+		payload = binary.AppendUvarint(payload, uint64(dd.from[k]))
+		payload = symtab.AppendPage(payload, dd.syms[k])
+	}
+	return frame(dictDeltaMagic, payload)
+}
+
+// decodeDictFile decodes a generation's dictionary file: a delta
+// (SITMDCT2), or the full pages a version-1 manifest's generation carries
+// (SITMDCT1), which is a delta from id 0.
+func decodeDictFile(data []byte, path string) (*dictDelta, error) {
+	full := len(data) >= len(dictMagic) && string(data[:len(dictMagic)]) == dictMagic
+	magic := dictDeltaMagic
+	if full {
+		magic = dictMagic
+	}
+	payload, err := unframe(magic, data, path)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	if cells, payload, err = symtab.DecodePage(payload); err != nil {
-		return nil, nil, nil, fmt.Errorf("store: %s cells: %w", path, err)
-	}
-	if mos, payload, err = symtab.DecodePage(payload); err != nil {
-		return nil, nil, nil, fmt.Errorf("store: %s mos: %w", path, err)
-	}
-	if pairs, payload, err = symtab.DecodePage(payload); err != nil {
-		return nil, nil, nil, fmt.Errorf("store: %s pairs: %w", path, err)
+	dd := &dictDelta{}
+	for k, name := range [3]string{"cells", "mos", "pairs"} {
+		if !full {
+			from, w := binary.Uvarint(payload)
+			if w <= 0 || from > math.MaxInt32 {
+				return nil, fmt.Errorf("store: %s %s: bad start id", path, name)
+			}
+			dd.from[k] = int(from)
+			payload = payload[w:]
+		}
+		if dd.syms[k], payload, err = symtab.DecodePage(payload); err != nil {
+			return nil, fmt.Errorf("store: %s %s: %w", path, name, err)
+		}
 	}
 	if len(payload) != 0 {
-		return nil, nil, nil, fmt.Errorf("store: %s: %d trailing bytes", path, len(payload))
+		return nil, fmt.Errorf("store: %s: %d trailing bytes", path, len(payload))
 	}
-	return cells, mos, pairs, nil
+	return dd, nil
 }
 
 // segmentColumns is one shard's capture for segment writing: slice headers
@@ -209,7 +269,6 @@ type segmentColumns struct {
 	starts []int64 // span start per row, unix nanos
 	ends   []int64
 	trajs  []core.Trajectory // residual source (encoded outside the gate)
-	blk    *shardBlocks      // lazily held prefix of trajs, if recovered from a v2 segment
 }
 
 // encodeSegmentV1 lays the captured columns out column-major: row count,
@@ -290,6 +349,42 @@ func decodeSegment(data []byte, path string, cellLimit, moLimit, pairLimit int, 
 		return nil, fmt.Errorf("store: segment %s: %d trailing bytes", path, len(d.b))
 	}
 	return rows, nil
+}
+
+// sweepDir deletes from dir what the manifest does not reference:
+// commitFile temp files, and the dictionary and segment files of every
+// generation not in listed — the output of a checkpoint that crashed or
+// failed before its commit, or of a generation a committed checkpoint
+// dropped. Other names are left alone. Best effort: a file that survives
+// is swept by the next commit or writable open.
+func sweepDir(fsys faultfs.FS, dir string, listed []uint64) {
+	entries, err := fsys.ReadDir(dir)
+	if err != nil {
+		return
+	}
+	for _, e := range entries {
+		name := e.Name()
+		gen, ok := segFileGen(name)
+		if ok && !slices.Contains(listed, gen) || strings.HasPrefix(name, ".tmp-") {
+			fsys.Remove(filepath.Join(dir, name))
+		}
+	}
+}
+
+// segFileGen parses the generation out of a dictionary (<gen>.dict) or
+// segment (<gen>-<shard>.seg) file name.
+func segFileGen(name string) (uint64, bool) {
+	base, ok := strings.CutSuffix(name, ".dict")
+	if !ok {
+		if base, ok = strings.CutSuffix(name, ".seg"); !ok {
+			return 0, false
+		}
+		if base, _, ok = strings.Cut(base, "-"); !ok {
+			return 0, false
+		}
+	}
+	gen, err := strconv.ParseUint(base, 10, 64)
+	return gen, err == nil
 }
 
 // walFile is one discovered WAL file: its generation and path.

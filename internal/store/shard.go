@@ -217,64 +217,102 @@ func (sh *shard) trajAt(slot int32) core.Trajectory {
 	return sh.trajs[slot]
 }
 
-// insertBlockRows bulk-loads a decoded v2 segment into a fresh shard: the
-// eager columns append verbatim (trajs zero-filled), posting lists build
-// from the encoded traces, and the residual stays lazy behind sd.blocks,
-// whose decoded zone maps serve the prune loop for these slots. Returns
-// one past the highest seq.
-func (sh *shard) insertBlockRows(sd *segData) uint64 {
+// allTrajs returns a copy of every slot's trajectory in slot order,
+// materializing the block-backed prefix through the cache.
+//
+//sitm:locked
+func (sh *shard) allTrajs() []core.Trajectory {
+	if bs := sh.blk; bs != nil {
+		return append(bs.allTrajs(), sh.trajs[bs.rowCount:]...)
+	}
+	return append([]core.Trajectory(nil), sh.trajs...)
+}
+
+// insertBlockRows bulk-loads a fresh shard's decoded v2 segments, one
+// generation after another: the eager columns append verbatim (trajs
+// zero-filled) into columns sized once for every segment, posting lists
+// build from the encoded traces, and the segments' blocks join one
+// shardBlocks with their slot bases rebased, so the residual stays lazy
+// behind the cache and the decoded zone maps serve the prune loop for
+// these slots. Returns one past the highest seq.
+func (sh *shard) insertBlockRows(segs []*segData) uint64 {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if len(sh.seqs) != 0 {
 		panic("store: insertBlockRows on non-empty shard")
 	}
+	n := 0
+	for _, sd := range segs {
+		n += len(sd.seqs)
+	}
+	sh.seqs = make([]uint64, 0, n)
+	sh.trajs = make([]core.Trajectory, 0, n)
+	sh.encs = make([][]int32, 0, n)
+	sh.anns = make([][]int32, 0, n)
+	sh.moIDs = make([]int32, 0, n)
+	sh.starts = make([]int64, 0, n)
+	sh.ends = make([]int64, 0, n)
 	var next uint64
-	for ri := range sd.seqs {
-		seq := sd.seqs[ri]
-		if seq >= next {
-			next = seq + 1
-		}
-		enc := sd.encs[ri]
-		slot := int32(len(sh.seqs))
-		sh.seqs = append(sh.seqs, seq)
-		sh.trajs = append(sh.trajs, core.Trajectory{})
-		sh.encs = append(sh.encs, enc)
-		sh.anns = append(sh.anns, sd.anns[ri])
-		sh.moIDs = append(sh.moIDs, sd.moIDs[ri])
-		sh.starts = append(sh.starts, sd.starts[ri])
-		sh.ends = append(sh.ends, sd.ends[ri])
-		sh.byMO[sd.moIDs[ri]] = append(sh.byMO[sd.moIDs[ri]], slot)
-		sh.intervals += len(enc)
-		if len(enc) > sh.maxLen {
-			sh.maxLen = len(enc)
-		}
-		sh.seenGen++
-		if sh.seenGen == 0 {
-			clear(sh.seen)
-			sh.seenGen = 1
-		}
-		for _, id := range enc {
-			sh.growCell(id)
-			if sh.seen[id] != sh.seenGen {
-				sh.seen[id] = sh.seenGen
-				sh.byCell[id] = append(sh.byCell[id], slot)
+	var bs *shardBlocks
+	for _, sd := range segs {
+		base := len(sh.seqs)
+		for ri := range sd.seqs {
+			seq := sd.seqs[ri]
+			if seq >= next {
+				next = seq + 1
+			}
+			enc := sd.encs[ri]
+			slot := int32(len(sh.seqs))
+			sh.seqs = append(sh.seqs, seq)
+			sh.trajs = append(sh.trajs, core.Trajectory{})
+			sh.encs = append(sh.encs, enc)
+			sh.anns = append(sh.anns, sd.anns[ri])
+			sh.moIDs = append(sh.moIDs, sd.moIDs[ri])
+			sh.starts = append(sh.starts, sd.starts[ri])
+			sh.ends = append(sh.ends, sd.ends[ri])
+			sh.byMO[sd.moIDs[ri]] = append(sh.byMO[sd.moIDs[ri]], slot)
+			sh.intervals += len(enc)
+			if len(enc) > sh.maxLen {
+				sh.maxLen = len(enc)
+			}
+			sh.seenGen++
+			if sh.seenGen == 0 {
+				clear(sh.seen)
+				sh.seenGen = 1
+			}
+			for _, id := range enc {
+				sh.growCell(id)
+				if sh.seen[id] != sh.seenGen {
+					sh.seen[id] = sh.seenGen
+					sh.byCell[id] = append(sh.byCell[id], slot)
+				}
+			}
+			for _, p := range sd.anns[ri] {
+				for int(p) >= len(sh.byPair) {
+					sh.byPair = append(sh.byPair, nil)
+				}
+				sh.byPair[p] = append(sh.byPair[p], slot)
 			}
 		}
-		for _, p := range sd.anns[ri] {
-			for int(p) >= len(sh.byPair) {
-				sh.byPair = append(sh.byPair, nil)
+		switch {
+		case sd.blocks == nil: // an empty segment
+		case bs == nil:
+			bs = sd.blocks
+		default:
+			// One shardBlocks (one block-cache segment id) per shard:
+			// block indexes stay unique across the appended segments.
+			for _, b := range sd.blocks.blocks {
+				b.base += int32(base)
+				bs.blocks = append(bs.blocks, b)
 			}
-			sh.byPair[p] = append(sh.byPair[p], slot)
+			bs.rowCount += sd.blocks.rowCount
 		}
 	}
-	if bs := sd.blocks; bs != nil {
-		// Rebind the per-row decode inputs to the shard's own columns so
-		// later appends can't strand them (same backing arrays today —
-		// the shard columns were empty — but the shard's headers are the
-		// authoritative ones).
-		bs.encs = sh.encs[:bs.rowCount:bs.rowCount]
-		bs.moIDs = sh.moIDs[:bs.rowCount:bs.rowCount]
-		bs.starts = sh.starts[:bs.rowCount:bs.rowCount]
+	if bs != nil {
+		// Rebind the per-row decode inputs to the shard's own columns; the
+		// block prefix of those columns never changes after open.
+		n := bs.rowCount
+		bs.encs, bs.moIDs, bs.starts = sh.encs[:n:n], sh.moIDs[:n:n], sh.starts[:n:n]
 		sh.blk = bs
 	}
 	return next

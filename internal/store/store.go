@@ -345,11 +345,7 @@ func (s *Store) gather(collect func(sh *shard, out *shardRows)) []core.Trajector
 func (s *Store) All() []core.Trajectory {
 	return s.gather(func(sh *shard, out *shardRows) { //sitm:locked
 		out.keys = append([]uint64(nil), sh.seqs...)
-		if bs := sh.blk; bs != nil {
-			out.ts = append(bs.allTrajs(), sh.trajs[bs.rowCount:]...)
-		} else {
-			out.ts = append([]core.Trajectory(nil), sh.trajs...)
-		}
+		out.ts = sh.allTrajs()
 	})
 }
 

@@ -434,16 +434,18 @@ func NewShardedStore(shards int) *Store { return store.NewSharded(shards) }
 type StoreOptions = store.Options
 
 // DurableStats reports a durable store's on-disk state (see
-// Store.Durability): directory, committed segment generation and live WAL
-// bytes since the last checkpoint.
+// Store.Durability): directory, newest committed segment generation, the
+// number of committed segments, and live WAL bytes since the last
+// checkpoint.
 type DurableStats = store.DurableStats
 
 // OpenStore opens (creating if needed) a durable trajectory store rooted
 // at dir. Writes append to a per-shard write-ahead log before touching the
 // in-memory indexes; Store.Sync makes everything written so far crash
-// durable, Store.Checkpoint compacts the WAL into immutable columnar
-// segments, and Store.Close flushes and releases the directory. Reopening
-// replays segments and the WAL tail, truncating any torn tail a crash left
+// durable, Store.Checkpoint writes the rows logged since the previous
+// checkpoint as one more generation of immutable columnar segments, and
+// Store.Close flushes and releases the directory. Reopening replays every
+// generation's segments and the WAL tail, truncating any torn tail a crash left
 // behind (experiment E9).
 func OpenStore(dir string, opts StoreOptions) (*Store, error) { return store.Open(dir, opts) }
 
