@@ -602,6 +602,14 @@ func runQuery(args []string, out io.Writer) (err error) {
 	if !composed && *through == "" && *overlap == "" && *inCell == "" {
 		return fmt.Errorf("query: need at least one of -through, -overlap, -in-cell, -mo, -region, -annotation")
 	}
+	ov, err := parseTimeFlag("overlap", *overlap, false)
+	if err != nil {
+		return err
+	}
+	ic, err := parseTimeFlag("in-cell", *inCell, true)
+	if err != nil {
+		return err
+	}
 	var st *sitm.Store
 	if fi, statErr := os.Stat(*storePath); statErr == nil && fi.IsDir() {
 		// A directory is a durable store: recover it instead of parsing
@@ -642,7 +650,7 @@ func runQuery(args []string, out io.Writer) (err error) {
 	if composed {
 		// Any of the new flags switches to plan mode: every given predicate
 		// composes into one And-plan on the store's query engine.
-		return runQueryPlan(st, out, *through, *overlap, *inCell, *mo, *region, *annotation, *model)
+		return runQueryPlan(st, out, *through, ov, ic, *mo, *region, *annotation, *model)
 	}
 	if *through != "" {
 		cells := strings.Split(*through, ",")
@@ -650,28 +658,16 @@ func runQuery(args []string, out io.Writer) (err error) {
 		fmt.Fprintf(out, "through %s: %d trajectories\n", strings.Join(cells, " → "), len(got))
 		writeTrajTable(out, got)
 	}
-	if *overlap != "" {
-		from, to, err := parseWindow(*overlap)
-		if err != nil {
-			return fmt.Errorf("query: -overlap: %w", err)
-		}
-		got := st.Overlapping(from, to)
+	if ov.set {
+		got := st.Overlapping(ov.from, ov.to)
 		fmt.Fprintf(out, "overlapping [%s, %s]: %d trajectories\n",
-			from.Format(time.RFC3339), to.Format(time.RFC3339), len(got))
+			ov.from.Format(time.RFC3339), ov.to.Format(time.RFC3339), len(got))
 		writeTrajTable(out, got)
 	}
-	if *inCell != "" {
-		parts := strings.SplitN(*inCell, ",", 2)
-		if len(parts) != 2 {
-			return fmt.Errorf("query: -in-cell wants cell,from,to")
-		}
-		from, to, err := parseWindow(parts[1])
-		if err != nil {
-			return fmt.Errorf("query: -in-cell: %w", err)
-		}
-		mos := st.InCellDuring(parts[0], from, to)
+	if ic.set {
+		mos := st.InCellDuring(ic.cell, ic.from, ic.to)
 		fmt.Fprintf(out, "in cell %s during [%s, %s]: %d MOs\n",
-			parts[0], from.Format(time.RFC3339), to.Format(time.RFC3339), len(mos))
+			ic.cell, ic.from.Format(time.RFC3339), ic.to.Format(time.RFC3339), len(mos))
 		var rows [][]string
 		for _, mo := range mos {
 			rows = append(rows, []string{mo})
@@ -684,7 +680,7 @@ func runQuery(args []string, out io.Writer) (err error) {
 // runQueryPlan composes every given predicate into one And-plan and runs
 // it through the store's semantic query engine. -region needs a compiled
 // hierarchy; the Louvre model is the built-in one (-model louvre).
-func runQueryPlan(st *sitm.Store, out io.Writer, through, overlap, inCell, mo, region, annotation, model string) error {
+func runQueryPlan(st *sitm.Store, out io.Writer, through string, ov, ic timeFlag, mo, region, annotation, model string) error {
 	var conjuncts []sitm.StoreQuery
 	var desc []string
 	if through != "" {
@@ -692,25 +688,13 @@ func runQueryPlan(st *sitm.Store, out io.Writer, through, overlap, inCell, mo, r
 		conjuncts = append(conjuncts, sitm.QThrough(cells...))
 		desc = append(desc, "through "+strings.Join(cells, "→"))
 	}
-	if overlap != "" {
-		from, to, err := parseWindow(overlap)
-		if err != nil {
-			return fmt.Errorf("query: -overlap: %w", err)
-		}
-		conjuncts = append(conjuncts, sitm.QTimeOverlap(from, to))
-		desc = append(desc, fmt.Sprintf("overlap [%s, %s]", from.Format(time.RFC3339), to.Format(time.RFC3339)))
+	if ov.set {
+		conjuncts = append(conjuncts, sitm.QTimeOverlap(ov.from, ov.to))
+		desc = append(desc, fmt.Sprintf("overlap [%s, %s]", ov.from.Format(time.RFC3339), ov.to.Format(time.RFC3339)))
 	}
-	if inCell != "" {
-		parts := strings.SplitN(inCell, ",", 2)
-		if len(parts) != 2 {
-			return fmt.Errorf("query: -in-cell wants cell,from,to")
-		}
-		from, to, err := parseWindow(parts[1])
-		if err != nil {
-			return fmt.Errorf("query: -in-cell: %w", err)
-		}
-		conjuncts = append(conjuncts, sitm.QCellDuring(parts[0], from, to))
-		desc = append(desc, fmt.Sprintf("in %s during [%s, %s]", parts[0], from.Format(time.RFC3339), to.Format(time.RFC3339)))
+	if ic.set {
+		conjuncts = append(conjuncts, sitm.QCellDuring(ic.cell, ic.from, ic.to))
+		desc = append(desc, fmt.Sprintf("in %s during [%s, %s]", ic.cell, ic.from.Format(time.RFC3339), ic.to.Format(time.RFC3339)))
 	}
 	if mo != "" {
 		conjuncts = append(conjuncts, sitm.QByMO(mo))
@@ -757,6 +741,35 @@ func runQueryPlan(st *sitm.Store, out io.Writer, through, overlap, inCell, mo, r
 	fmt.Fprintf(out, "plan %s: %d trajectories\n", strings.Join(desc, " ∧ "), len(got))
 	writeTrajTable(out, got)
 	return nil
+}
+
+// timeFlag is a parsed -overlap (from,to) or -in-cell (cell,from,to)
+// value; set is false when the flag was not given.
+type timeFlag struct {
+	set      bool
+	cell     string
+	from, to time.Time
+}
+
+// parseTimeFlag parses the value of the named flag, leading with a cell
+// when withCell is true. Both query modes use the result.
+func parseTimeFlag(name, v string, withCell bool) (timeFlag, error) {
+	f := timeFlag{set: v != ""}
+	if !f.set {
+		return f, nil
+	}
+	win := v
+	if withCell {
+		var ok bool
+		if f.cell, win, ok = strings.Cut(v, ","); !ok {
+			return f, fmt.Errorf("query: -%s wants cell,from,to", name)
+		}
+	}
+	var err error
+	if f.from, f.to, err = parseWindow(win); err != nil {
+		return f, fmt.Errorf("query: -%s: %w", name, err)
+	}
+	return f, nil
 }
 
 // parseWindow parses "from,to" as two RFC 3339 timestamps.

@@ -72,22 +72,3 @@ func TestForEachCtxPanicPropagates(t *testing.T) {
 	})
 	t.Fatal("ForEachCtx returned instead of panicking")
 }
-
-func TestMapCtx(t *testing.T) {
-	out, err := MapCtx(context.Background(), 64, func(i int) int { return i * i })
-	if err != nil {
-		t.Fatalf("MapCtx: %v", err)
-	}
-	for i, v := range out {
-		if v != i*i {
-			t.Fatalf("out[%d] = %d", i, v)
-		}
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	out, err = MapCtx(ctx, 64, func(i int) int { return i })
-	if !errors.Is(err, context.Canceled) || out != nil {
-		t.Fatalf("cancelled MapCtx = %v, %v; want nil slice + Canceled", out, err)
-	}
-}

@@ -60,47 +60,7 @@ func capturePanic(cursor *atomic.Int64, end int64, store *atomic.Pointer[workerP
 
 // ForEachN is ForEach with an explicit worker count (0 = GOMAXPROCS).
 func ForEachN(n, workers int, fn func(i int)) {
-	if n <= 0 {
-		return
-	}
-	w := Workers(workers)
-	if w > n {
-		w = n
-	}
-	if w == 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	chunk := chunkSize(n, w)
-	var next atomic.Int64
-	var panicked atomic.Pointer[workerPanic]
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for g := 0; g < w; g++ {
-		go func() {
-			defer wg.Done()
-			defer capturePanic(&next, int64(n)+int64(chunk), &panicked)
-			for {
-				lo := int(next.Add(int64(chunk))) - chunk
-				if lo >= n {
-					return
-				}
-				hi := lo + chunk
-				if hi > n {
-					hi = n
-				}
-				for i := lo; i < hi; i++ {
-					fn(i)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if p := panicked.Load(); p != nil {
-		panic(p.val)
-	}
+	forEach(context.Background(), n, workers, fn)
 }
 
 // ForEachCtx is ForEach with cooperative cancellation: workers stop
@@ -112,13 +72,18 @@ func ForEachN(n, workers int, fn func(i int)) {
 // seam: a timed-out request stops burning shard workers at the next
 // chunk boundary instead of finishing the whole plan.
 func ForEachCtx(ctx context.Context, n int, fn func(i int)) error {
+	return forEach(ctx, n, 0, fn)
+}
+
+// forEach is the one pool loop behind ForEach, ForEachN and ForEachCtx.
+func forEach(ctx context.Context, n, workers int, fn func(i int)) error {
 	if n <= 0 {
 		return nil
 	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	w := Workers(0)
+	w := Workers(workers)
 	if w > n {
 		w = n
 	}
@@ -171,21 +136,6 @@ func ForEachCtx(ctx context.Context, n int, fn func(i int)) error {
 		return ctx.Err()
 	}
 	return nil
-}
-
-// MapCtx invokes fn(i) for every i in [0, n) in parallel, collecting
-// results in index order, stopping early if ctx is cancelled. On a
-// non-nil error the returned slice is nil — a partially-filled result
-// has no well-defined meaning, so it is withheld entirely.
-func MapCtx[T any](ctx context.Context, n int, fn func(i int) T) ([]T, error) {
-	if n <= 0 {
-		return nil, ctx.Err()
-	}
-	out := make([]T, n)
-	if err := ForEachCtx(ctx, n, func(i int) { out[i] = fn(i) }); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // Map invokes fn(i) for every i in [0, n) in parallel and collects the

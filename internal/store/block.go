@@ -677,18 +677,6 @@ func encodeBlock(c *segmentColumns, trajs []core.Trajectory, base, end int, bufs
 
 // ---- Decoding ------------------------------------------------------------
 
-// segData is one decoded v2 segment: the flat eager columns (ready for
-// bulk shard insertion) plus the lazy block state.
-type segData struct {
-	seqs   []uint64
-	moIDs  []int32
-	encs   [][]int32
-	anns   [][]int32
-	starts []int64 // span start per row, unix nanos
-	ends   []int64
-	blocks *shardBlocks // nil for an empty segment
-}
-
 // blockInfo is the retained per-block state: slot base, zone map, time
 // scale, and the raw residual section (aliasing the segment's file
 // buffer).
@@ -699,13 +687,20 @@ type blockInfo struct {
 	res    []byte
 }
 
-// decodeSegmentV2 decodes a block-structured segment: header and zone
-// maps, then per block the CRC, the eager columns (validated against the
-// zone map — pruning trusts zones, so a zone inconsistent with its rows is
-// corruption) and the residual structure. Errors name the failing block
-// and its byte offset; a failed block fails the segment's load, it never
-// panics later.
-func decodeSegmentV2(data []byte, path string, cellLimit, moLimit, pairLimit int, cells, mos func(int32) string, cache *BlockCache) (*segData, error) {
+// segHeader is a parsed block-structured segment header: the segment's
+// row count and, per block, its payload length and zone map; body is the
+// file offset of block 0's payload.
+type segHeader struct {
+	rows  int
+	plens []uint64
+	zones []zoneMap
+	body  int
+}
+
+// parseSegHeader checks a block-structured segment's magic and header
+// checksum and parses the header, without touching a block: the blocks'
+// row counts must sum to the segment's.
+func parseSegHeader(data []byte, path string) (*segHeader, error) {
 	ml := len(segMagicV2)
 	if len(data) < ml+1 || string(data[:ml]) != segMagicV2 {
 		return nil, fmt.Errorf("store: %s: bad or missing %s header", path, segMagicV2)
@@ -730,8 +725,7 @@ func decodeSegmentV2(data []byte, path string, cellLimit, moLimit, pairLimit int
 		d.fail("row count exceeds file size")
 	}
 	nBlocks := d.count(40) // a zone map alone is > 40 header bytes
-	plens := make([]uint64, 0, nBlocks)
-	zones := make([]zoneMap, 0, nBlocks)
+	h := &segHeader{plens: make([]uint64, 0, nBlocks), zones: make([]zoneMap, 0, nBlocks), body: crcOff + 4}
 	rowSum := uint64(0)
 	for b := 0; b < nBlocks && d.err == nil; b++ {
 		plen := d.uvarint()
@@ -744,8 +738,8 @@ func decodeSegmentV2(data []byte, path string, cellLimit, moLimit, pairLimit int
 			break
 		}
 		rowSum += uint64(z.rows)
-		plens = append(plens, plen)
-		zones = append(zones, z)
+		h.plens = append(h.plens, plen)
+		h.zones = append(h.zones, z)
 	}
 	if d.err != nil {
 		return nil, fmt.Errorf("store: segment %s: header: %w", path, d.err)
@@ -756,62 +750,97 @@ func decodeSegmentV2(data []byte, path string, cellLimit, moLimit, pairLimit int
 	if rowSum != total {
 		return nil, fmt.Errorf("store: segment %s: header: blocks hold %d rows, header says %d", path, rowSum, total)
 	}
-
-	sd := &segData{
-		seqs:   make([]uint64, 0, total),
-		moIDs:  make([]int32, 0, total),
-		encs:   make([][]int32, 0, total),
-		anns:   make([][]int32, 0, total),
-		starts: make([]int64, 0, total),
-		ends:   make([]int64, 0, total),
-	}
-	infos := make([]blockInfo, 0, nBlocks)
-	pos := crcOff + 4
-	base := 0
-	for b := 0; b < nBlocks; b++ {
-		plen := int(plens[b])
-		if plen < 0 || pos+plen+4 > len(data) {
-			return nil, fmt.Errorf("store: segment %s: block %d at offset %d: truncated", path, b, pos)
-		}
-		payload := data[pos : pos+plen]
-		if crc32.Checksum(payload, castagnoliTable) != binary.LittleEndian.Uint32(data[pos+plen:]) {
-			return nil, fmt.Errorf("store: segment %s: block %d at offset %d: checksum mismatch", path, b, pos)
-		}
-		resOff, tscale, err := decodeBlockColumns(payload, &zones[b], sd, cellLimit, moLimit, pairLimit)
-		if err != nil {
-			return nil, fmt.Errorf("store: segment %s: block %d at offset %d: %w", path, b, pos, err)
-		}
-		res := payload[resOff:]
-		if err := validateBlockResidual(res, sd, base, int(zones[b].rows), tscale); err != nil {
-			return nil, fmt.Errorf("store: segment %s: block %d at offset %d: %w", path, b, pos, err)
-		}
-		infos = append(infos, blockInfo{base: int32(base), zone: zones[b], tscale: tscale, res: res})
-		base += int(zones[b].rows)
-		pos += plen + 4
-	}
-	if pos != len(data) {
-		return nil, fmt.Errorf("store: segment %s: %d trailing bytes", path, len(data)-pos)
-	}
-	if total > 0 {
-		sd.blocks = &shardBlocks{
-			cache:    cache,
-			segID:    nextBlockSegID.Add(1),
-			rowCount: int(total),
-			blocks:   infos,
-			encs:     sd.encs,
-			moIDs:    sd.moIDs,
-			starts:   sd.starts,
-			cellSym:  cells,
-			moSym:    mos,
-		}
-	}
-	return sd, nil
+	h.rows = int(total)
+	return h, nil
 }
 
-// decodeBlockColumns decodes one block's eager columns into sd, verifying
-// every value against the block's zone map, and returns the offset of the
-// residual section within payload plus the block's time scale.
-func decodeBlockColumns(payload []byte, z *zoneMap, sd *segData, cellLimit, moLimit, pairLimit int) (int, int64, error) {
+// segFile is one segment file's path and bytes.
+type segFile struct {
+	path string
+	data []byte
+}
+
+// decodeSegments loads a fresh shard's block-structured segments, one
+// generation after another, straight into its columns. Every header is
+// parsed first, so the columns are sized once. Then per block: the CRC,
+// the eager columns appended to the shard's (validated against the zone
+// map — pruning trusts zones, so a zone inconsistent with its rows is
+// corruption), the residual structure validated and left lazy behind the
+// block cache, and the block's slots indexed by indexSlot. Every block
+// joins the shard's one shardBlocks (one block-cache segment id) at its
+// final slot base. Errors name the failing segment, block and byte
+// offset; a failed block fails the load, it never panics later. Returns
+// one past the highest seq loaded (0 when none).
+func (sh *shard) decodeSegments(files []segFile, cellLimit, moLimit, pairLimit int, cells, mos func(int32) string, cache *BlockCache) (uint64, error) {
+	hdrs := make([]*segHeader, len(files))
+	rows, nBlocks := 0, 0
+	for i, f := range files {
+		h, err := parseSegHeader(f.data, f.path)
+		if err != nil {
+			return 0, err
+		}
+		hdrs[i] = h
+		rows += h.rows
+		nBlocks += len(h.zones)
+	}
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if len(sh.seqs) != 0 {
+		panic("store: decodeSegments on non-empty shard")
+	}
+	sh.seqs = make([]uint64, 0, rows)
+	sh.trajs = make([]core.Trajectory, rows) // block-backed: served by blk.traj
+	sh.encs = make([][]int32, 0, rows)
+	sh.anns = make([][]int32, 0, rows)
+	sh.moIDs = make([]int32, 0, rows)
+	sh.starts = make([]int64, 0, rows)
+	sh.ends = make([]int64, 0, rows)
+	bs := &shardBlocks{cache: cache, segID: nextBlockSegID.Add(1), rowCount: rows,
+		blocks: make([]blockInfo, 0, nBlocks), sh: sh, cellSym: cells, moSym: mos}
+	var next uint64
+	for i, f := range files {
+		pos := hdrs[i].body
+		for b := range hdrs[i].zones {
+			z := &hdrs[i].zones[b]
+			plen := int(hdrs[i].plens[b])
+			if plen < 0 || pos+plen+4 > len(f.data) {
+				return 0, fmt.Errorf("store: segment %s: block %d at offset %d: truncated", f.path, b, pos)
+			}
+			payload := f.data[pos : pos+plen]
+			if crc32.Checksum(payload, castagnoliTable) != binary.LittleEndian.Uint32(f.data[pos+plen:]) {
+				return 0, fmt.Errorf("store: segment %s: block %d at offset %d: checksum mismatch", f.path, b, pos)
+			}
+			base := len(sh.seqs)
+			res, tscale, err := sh.decodeBlockColumns(payload, z, cellLimit, moLimit, pairLimit)
+			if err == nil {
+				err = sh.validateBlockResidual(res, base, int(z.rows), tscale)
+			}
+			if err != nil {
+				return 0, fmt.Errorf("store: segment %s: block %d at offset %d: %w", f.path, b, pos, err)
+			}
+			for slot := base; slot < len(sh.seqs); slot++ {
+				sh.indexSlot(int32(slot), sh.moIDs[slot], sh.encs[slot], sh.anns[slot], nil)
+			}
+			bs.blocks = append(bs.blocks, blockInfo{base: int32(base), zone: *z, tscale: tscale, res: res})
+			next = max(next, z.maxSeq+1)
+			pos += plen + 4
+		}
+		if pos != len(f.data) {
+			return 0, fmt.Errorf("store: segment %s: %d trailing bytes", f.path, len(f.data)-pos)
+		}
+	}
+	if rows > 0 {
+		sh.blk = bs
+	}
+	return next, nil
+}
+
+// decodeBlockColumns appends one block's eager columns to the shard's,
+// verifying every value against the block's zone map, and returns the
+// block's residual section and time scale.
+//
+//sitm:locked
+func (sh *shard) decodeBlockColumns(payload []byte, z *zoneMap, cellLimit, moLimit, pairLimit int) ([]byte, int64, error) {
 	d := &rowDecoder{b: payload}
 	rows := int(z.rows)
 
@@ -830,7 +859,7 @@ func decodeBlockColumns(payload []byte, z *zoneMap, sd *segData, cellLimit, moLi
 	// seqs.
 	seq := d.uvarint()
 	minSeq, maxSeq := seq, seq
-	sd.seqs = append(sd.seqs, seq)
+	sh.seqs = append(sh.seqs, seq)
 	for i := 1; i < rows; i++ {
 		seq += uint64(d.varint())
 		if seq < minSeq {
@@ -839,7 +868,7 @@ func decodeBlockColumns(payload []byte, z *zoneMap, sd *segData, cellLimit, moLi
 		if seq > maxSeq {
 			maxSeq = seq
 		}
-		sd.seqs = append(sd.seqs, seq)
+		sh.seqs = append(sh.seqs, seq)
 	}
 	if d.err == nil && (minSeq != z.minSeq || maxSeq != z.maxSeq) {
 		d.fail("seq column outside zone map")
@@ -867,7 +896,7 @@ func decodeBlockColumns(payload []byte, z *zoneMap, sd *segData, cellLimit, moLi
 				break
 			}
 			for k := 0; k < int(runLen); k++ {
-				sd.moIDs = append(sd.moIDs, int32(id))
+				sh.moIDs = append(sh.moIDs, int32(id))
 			}
 			got += int(runLen)
 		}
@@ -881,7 +910,7 @@ func decodeBlockColumns(payload []byte, z *zoneMap, sd *segData, cellLimit, moLi
 				d.failStale(fmt.Sprintf("mo id %d beyond dictionary size %d", id, moLimit))
 				break
 			}
-			sd.moIDs = append(sd.moIDs, int32(id))
+			sh.moIDs = append(sh.moIDs, int32(id))
 		}
 	default:
 		d.fail(fmt.Sprintf("mo column flag %d", flag[0]))
@@ -917,8 +946,8 @@ func decodeBlockColumns(payload []byte, z *zoneMap, sd *segData, cellLimit, moLi
 				maxEnd = en
 			}
 		}
-		sd.starts = append(sd.starts, st)
-		sd.ends = append(sd.ends, en)
+		sh.starts = append(sh.starts, st)
+		sh.ends = append(sh.ends, en)
 	}
 	if d.err == nil && (minStart != z.minStart || maxStart != z.maxStart || minEnd != z.minEnd || maxEnd != z.maxEnd) {
 		d.fail("span column outside zone map")
@@ -953,10 +982,10 @@ func decodeBlockColumns(payload []byte, z *zoneMap, sd *segData, cellLimit, moLi
 	off := 0
 	for i := 0; i < rows && d.err == nil; i++ {
 		if counts[i] == 0 {
-			sd.encs = append(sd.encs, nil)
+			sh.encs = append(sh.encs, nil)
 			continue
 		}
-		sd.encs = append(sd.encs, flatCells[off:off+counts[i]:off+counts[i]])
+		sh.encs = append(sh.encs, flatCells[off:off+counts[i]:off+counts[i]])
 		off += counts[i]
 	}
 
@@ -983,10 +1012,10 @@ func decodeBlockColumns(payload []byte, z *zoneMap, sd *segData, cellLimit, moLi
 	off = 0
 	for i := 0; i < rows && d.err == nil; i++ {
 		if counts[i] == 0 {
-			sd.anns = append(sd.anns, nil)
+			sh.anns = append(sh.anns, nil)
 			continue
 		}
-		sd.anns = append(sd.anns, flatPairs[off:off+counts[i]:off+counts[i]])
+		sh.anns = append(sh.anns, flatPairs[off:off+counts[i]:off+counts[i]])
 		off += counts[i]
 	}
 
@@ -994,16 +1023,19 @@ func decodeBlockColumns(payload []byte, z *zoneMap, sd *segData, cellLimit, moLi
 		d.fail("distinct-mo count out of range")
 	}
 	if d.err != nil {
-		return 0, 0, d.err
+		return nil, 0, d.err
 	}
-	return len(payload) - len(d.b), tscale, nil
+	return d.b, tscale, nil
 }
 
 // validateBlockResidual structurally validates a block's residual section
 // without materializing strings or maps: every local id bounds-checked,
 // every presence interval inside its row's span (the kCellDuring prune
-// relies on that envelope). After this walk, materialization cannot fail.
-func validateBlockResidual(res []byte, sd *segData, base, rows int, tscale int64) error {
+// relies on that envelope), reading the rows' spans and traces from the
+// shard's columns. After this walk, materialization cannot fail.
+//
+//sitm:locked
+func (sh *shard) validateBlockResidual(res []byte, base, rows int, tscale int64) error {
 	d := &rowDecoder{b: res}
 	nStr := d.count(1)
 	for i := 0; i < nStr && d.err == nil; i++ {
@@ -1012,10 +1044,10 @@ func validateBlockResidual(res []byte, sd *segData, base, rows int, tscale int64
 	for r := 0; r < rows && d.err == nil; r++ {
 		i := base + r
 		d.skipLocalAnn(nStr)
-		rowStart := sd.starts[i]
-		rowEnd := sd.ends[i]
+		rowStart := sh.starts[i]
+		rowEnd := sh.ends[i]
 		prevT := rowStart
-		for range sd.encs[i] {
+		for range sh.encs[i] {
 			d.localID(nStr)
 			st := prevT + d.varint()*tscale
 			en := st + d.varint()*tscale
@@ -1056,11 +1088,10 @@ type shardBlocks struct {
 	segID    uint64
 	rowCount int
 	blocks   []blockInfo
-	// Per-row decode inputs, aliasing the shard's own column backing (the
-	// block prefix of those columns never changes after open).
-	encs    [][]int32
-	moIDs   []int32
-	starts  []int64
+	// sh is the owning shard: its encs, moIDs and starts columns are the
+	// per-row decode inputs, and their block prefix never changes after
+	// open.
+	sh      *shard
 	cellSym func(int32) string
 	moSym   func(int32) string
 }
@@ -1128,7 +1159,9 @@ func (bs *shardBlocks) allTrajs() []core.Trajectory {
 
 // decodeBlockTrajs decodes one block's residual section into trajectories
 // (the mirror of encodeBlock's residual pass, resolving block-local string
-// ids and interned cell/MO ids).
+// ids and interned cell/MO ids). Callers hold the owning shard's lock.
+//
+//sitm:locked
 func (bs *shardBlocks) decodeBlockTrajs(b int) ([]core.Trajectory, error) {
 	info := &bs.blocks[b]
 	d := &rowDecoder{b: info.res}
@@ -1141,12 +1174,12 @@ func (bs *shardBlocks) decodeBlockTrajs(b int) ([]core.Trajectory, error) {
 	ts := make([]core.Trajectory, rows)
 	for r := 0; r < rows && d.err == nil; r++ {
 		slot := int(info.base) + r
-		enc := bs.encs[slot]
-		t := core.Trajectory{MO: bs.moSym(bs.moIDs[slot]), Ann: d.localAnnotations(dict)}
+		enc := bs.sh.encs[slot]
+		t := core.Trajectory{MO: bs.moSym(bs.sh.moIDs[slot]), Ann: d.localAnnotations(dict)}
 		if len(enc) > 0 {
 			t.Trace = make(core.Trace, len(enc))
 		}
-		prevT := bs.starts[slot]
+		prevT := bs.sh.starts[slot]
 		for i, cellID := range enc {
 			p := &t.Trace[i]
 			p.Cell = bs.cellSym(cellID)

@@ -26,13 +26,15 @@ func FuzzDecodeBlock(f *testing.F) {
 	f.Add([]byte(segMagicV2))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sym := func(id int32) string { return fmt.Sprintf("s%d", id) }
-		sd, err := decodeSegmentV2(data, "fuzz", fuzzDecodeLimits, fuzzDecodeLimits, fuzzDecodeLimits, sym, sym, nil)
+		var sh shard
+		sh.init()
+		_, err := sh.decodeSegments([]segFile{{"fuzz", data}}, fuzzDecodeLimits, fuzzDecodeLimits, fuzzDecodeLimits, sym, sym, nil)
 		if err != nil {
 			return
 		}
-		if sd.blocks != nil {
-			if got := len(sd.blocks.allTrajs()); got != sd.blocks.rowCount {
-				t.Fatalf("materialized %d rows of %d", got, sd.blocks.rowCount)
+		if sh.blk != nil {
+			if got := len(sh.blk.allTrajs()); got != sh.blk.rowCount || got != len(sh.seqs) {
+				t.Fatalf("materialized %d rows of %d (%d decoded)", got, sh.blk.rowCount, len(sh.seqs))
 			}
 		}
 	})

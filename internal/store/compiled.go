@@ -93,7 +93,7 @@ func (s *Store) SelectCtx(ctx context.Context, q Query) ([]core.Trajectory, erro
 	if err != nil {
 		return nil, err
 	}
-	return s.selectPlanCtx(ctx, plan)
+	return s.selectPlan(ctx, plan)
 }
 
 // SelectCompiledCtx executes a pre-compiled plan, recompiling
@@ -103,7 +103,7 @@ func (s *Store) SelectCompiledCtx(ctx context.Context, cq *CompiledQuery) ([]cor
 	if err != nil {
 		return nil, err
 	}
-	return s.selectPlanCtx(ctx, plan)
+	return s.selectPlan(ctx, plan)
 }
 
 // SelectMOsCtx is SelectMOs with cooperative cancellation.
@@ -112,7 +112,7 @@ func (s *Store) SelectMOsCtx(ctx context.Context, q Query) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.selectMOsPlanCtx(ctx, plan)
+	return s.selectMOsPlan(ctx, plan)
 }
 
 // SelectMOsCompiledCtx is SelectMOs over a pre-compiled plan.
@@ -121,43 +121,25 @@ func (s *Store) SelectMOsCompiledCtx(ctx context.Context, cq *CompiledQuery) ([]
 	if err != nil {
 		return nil, err
 	}
-	return s.selectMOsPlanCtx(ctx, plan)
+	return s.selectMOsPlan(ctx, plan)
 }
 
-// selectPlanCtx is gather with a cancellable fan-out: execute the plan
-// per shard under the shard read lock, merge by insertion sequence.
-func (s *Store) selectPlanCtx(ctx context.Context, plan *cplan) ([]core.Trajectory, error) {
-	per := make([]shardRows, len(s.shards))
-	err := parallel.ForEachCtx(ctx, len(s.shards), func(i int) {
-		sh := &s.shards[i]
-		sh.mu.RLock()
+// selectPlan is the one trajectory executor of every Select entry point:
+// gather runs the plan per shard under the shard read lock and merges the
+// matches by insertion sequence.
+func (s *Store) selectPlan(ctx context.Context, plan *cplan) ([]core.Trajectory, error) {
+	return s.gather(ctx, func(sh *shard, out *shardRows) { //sitm:locked
 		ectx := execCtx{s: s, sh: sh}
 		for _, slot := range plan.exec(&ectx) {
-			per[i].add(sh.seqs[slot], sh.trajAt(slot))
+			out.add(sh.seqs[slot], sh.trajAt(slot))
 		}
-		sh.mu.RUnlock()
 	})
-	if err != nil {
-		return nil, err
-	}
-	total := 0
-	for i := range per {
-		total += len(per[i].ts)
-	}
-	if total == 0 {
-		return nil, nil
-	}
-	keys := make([]uint64, 0, total)
-	ts := make([]core.Trajectory, 0, total)
-	for i := range per {
-		keys = append(keys, per[i].keys...)
-		ts = append(ts, per[i].ts...)
-	}
-	return placeBySeq(keys, ts), nil
 }
 
-// selectMOsPlanCtx mirrors SelectMOs with a cancellable fan-out.
-func (s *Store) selectMOsPlanCtx(ctx context.Context, plan *cplan) ([]string, error) {
+// selectMOsPlan is the one moving-object executor of every SelectMOs
+// entry point: each shard collects the distinct MOs of its matches, and
+// since MOs never span shards the sets union without cross-shard dedup.
+func (s *Store) selectMOsPlan(ctx context.Context, plan *cplan) ([]string, error) {
 	per := make([][]int32, len(s.shards))
 	err := parallel.ForEachCtx(ctx, len(s.shards), func(i int) {
 		sh := &s.shards[i]

@@ -212,41 +212,17 @@ func (d *durable) logDictTail(s *Store) {
 // the int64 nanosecond range) is not applied at all — the whole batch is
 // dropped with a sticky error, like a failed append, so no later Sync
 // acknowledges it.
-func (d *durable) admit(op string, ts ...core.Trajectory) bool {
+func (d *durable) admit(ts []core.Trajectory) bool {
 	if d.readOnly {
-		panic(fmt.Errorf("store: %s on read-only store %s: %w", op, d.dir, ErrReadOnly))
+		panic(fmt.Errorf("store: PutBatch on read-only store %s: %w", d.dir, ErrReadOnly))
 	}
 	for _, t := range ts {
 		if err := checkTrajectoryTimes(t); err != nil {
-			d.fail(fmt.Errorf("store: %s not applied: %w", op, err))
+			d.fail(fmt.Errorf("store: PutBatch not applied: %w", err))
 			return false
 		}
 	}
 	return true
-}
-
-// putDurable is Put's durable back half: WAL-append then shard insert,
-// under the checkpoint gate. Symbols are already interned by the caller.
-func (s *Store) putDurable(t core.Trajectory, moID int32, enc, ann []int32) {
-	d := s.dur
-	d.gate.RLock()
-	d.logDictTail(s)
-	g := s.shardIndex(t.MO)
-	rl := &d.rows[g]
-	rl.mu.Lock()
-	seq := s.nextSeq.Add(1) - 1
-	rl.buf = appendRow(rl.buf[:0], seq, moID, enc, ann, t)
-	if err := rl.log.Append(recRow, rl.buf); err != nil {
-		d.fail(err)
-	}
-	d.walLive.Add(int64(len(rl.buf)) + walFrameOverhead)
-	rl.mu.Unlock()
-	sh := &s.shards[g]
-	sh.mu.Lock()
-	sh.addSlot(seq, t, moID, enc, ann, s.trajectoryRegions(t))
-	sh.mu.Unlock()
-	d.gate.RUnlock()
-	d.maybeCompact(s)
 }
 
 // putBatchDurable is PutBatch's durable back half: one WAL-append run and
@@ -598,14 +574,15 @@ func (s *Store) Durability() (DurableStats, bool) {
 }
 
 // loadSegments loads one shard's listed segments in generation order.
-// v2 block-structured segments (SITMSEG2) are all decoded first and then
-// bulk-inserted together, their residual rows left lazy behind the block
-// cache; the v1 monolithic segment (SITMSEG1) a version-1 manifest's one
-// generation may hold decodes in full into live rows, keeping directories
-// written by older builds readable. Returns one past the highest row seq
-// loaded (0 when none) and whether the segment was v1.
+// The v2 block-structured segments (SITMSEG2) decode together straight
+// into the shard's columns (shard.decodeSegments), their residual rows
+// left lazy behind the block cache; the v1 monolithic segment (SITMSEG1) a
+// version-1 manifest's one generation may hold decodes in full into live
+// rows, keeping directories written by older builds readable. Returns one
+// past the highest row seq loaded (0 when none) and whether the segment
+// was v1.
 func (s *Store) loadSegments(fsys faultfs.FS, dir string, shard int, gens []uint64, v1ok bool, cache *BlockCache) (uint64, bool, error) {
-	var segs []*segData
+	files := make([]segFile, 0, len(gens))
 	for _, gen := range gens {
 		path := segPath(dir, gen, shard)
 		data, err := fsys.ReadFile(path)
@@ -613,13 +590,7 @@ func (s *Store) loadSegments(fsys faultfs.FS, dir string, shard int, gens []uint
 			return 0, false, fmt.Errorf("store: %s lists generation %d: %w", manifestName, gen, err)
 		}
 		if len(data) >= len(segMagicV2) && string(data[:len(segMagicV2)]) == segMagicV2 {
-			sd, err := decodeSegmentV2(data, path,
-				s.cells.Len(), s.mos.Len(), s.pairs.Len(),
-				s.cells.Symbol, s.mos.Symbol, cache)
-			if err != nil {
-				return 0, false, err
-			}
-			segs = append(segs, sd)
+			files = append(files, segFile{path, data})
 			continue
 		}
 		if !v1ok {
@@ -638,7 +609,10 @@ func (s *Store) loadSegments(fsys faultfs.FS, dir string, shard int, gens []uint
 		s.shards[shard].insertRecovered(rows)
 		return next, true, nil
 	}
-	return s.shards[shard].insertBlockRows(segs), false, nil
+	next, err := s.shards[shard].decodeSegments(files,
+		s.cells.Len(), s.mos.Len(), s.pairs.Len(),
+		s.cells.Symbol, s.mos.Symbol, cache)
+	return next, false, err
 }
 
 // BlockCacheStats returns the residual-block cache counters of a durable

@@ -360,6 +360,33 @@ func TestOpenRejectsCorruptSegment(t *testing.T) {
 	mustClose(t, s)
 }
 
+// TestOpenRejectsNegativeShardWAL: a row WAL named for a negative shard is
+// an unrecognized file — writable and read-only opens report it by name
+// instead of indexing the shard list with it.
+func TestOpenRejectsNegativeShardWAL(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir, Options{Shards: 2})
+	s.Put(mkTraj(t, "mo-1", "a", "b"))
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	mustClose(t, s)
+	const name = "00000001--1.row.wal"
+	if err := os.WriteFile(filepath.Join(dir, walDirName, name), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, opts := range []Options{{}, {ReadOnly: true}} {
+		s, err := Open(dir, opts)
+		if err == nil {
+			s.Close()
+			t.Fatalf("Open (read-only=%v) accepted %s", opts.ReadOnly, name)
+		}
+		if !strings.Contains(err.Error(), "unrecognized wal file "+name) {
+			t.Fatalf("Open (read-only=%v): err = %v, want it to name %s", opts.ReadOnly, err, name)
+		}
+	}
+}
+
 // TestDurableReadJSONPersists: the JSON load path goes through the
 // durable PutBatch hook, so a loaded file survives reopen byte-for-byte.
 func TestDurableReadJSONPersists(t *testing.T) {

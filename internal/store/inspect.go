@@ -1,9 +1,7 @@
 package store
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"time"
 
@@ -52,8 +50,8 @@ func InspectDir(dir string, w io.Writer) error {
 			diskBytes += int64(len(data))
 			fmt.Fprintf(w, "segment %08d-%04d: %d bytes, ", gen, i, len(data))
 			if len(data) >= len(segMagicV2) && string(data[:len(segMagicV2)]) == segMagicV2 {
-				if err := inspectV2Segment(data, w); err != nil {
-					return fmt.Errorf("%s: %w", path, err)
+				if err := inspectV2Segment(data, path, w); err != nil {
+					return err
 				}
 			} else {
 				fmt.Fprintf(w, "format v1 (monolithic)\n")
@@ -91,32 +89,16 @@ func InspectDir(dir string, w io.Writer) error {
 // inspectV2Segment prints one block-structured segment's header summary:
 // row and block counts, then per block its rows, payload size, time span
 // and distinct-cell/MO counts, straight from the zone maps.
-func inspectV2Segment(data []byte, w io.Writer) error {
-	ml := len(segMagicV2)
-	hlen, n := binary.Uvarint(data[ml:])
-	if n <= 0 || hlen > uint64(len(data)-ml-n) {
-		return fmt.Errorf("truncated header")
+func inspectV2Segment(data []byte, path string, w io.Writer) error {
+	h, err := parseSegHeader(data, path)
+	if err != nil {
+		return err
 	}
-	hdr := data[ml+n : ml+n+int(hlen)]
-	if len(data) < ml+n+int(hlen)+4 ||
-		crc32.Checksum(hdr, castagnoliTable) != binary.LittleEndian.Uint32(data[ml+n+int(hlen):]) {
-		return fmt.Errorf("header checksum mismatch")
-	}
-	d := &rowDecoder{b: hdr}
-	total := d.uvarint()
-	nBlocks := d.count(40)
-	if d.err != nil {
-		return d.err
-	}
-	fmt.Fprintf(w, "format v2 (blocks): %d rows in %d blocks\n", total, nBlocks)
-	for b := 0; b < nBlocks; b++ {
-		plen := d.uvarint()
-		z := d.zone()
-		if d.err != nil {
-			return d.err
-		}
+	fmt.Fprintf(w, "format v2 (blocks): %d rows in %d blocks\n", h.rows, len(h.zones))
+	for b := range h.zones {
+		z := &h.zones[b]
 		fmt.Fprintf(w, "  block %3d: %4d rows, %6d bytes, span %s .. %s, %d cells, %d MOs\n",
-			b, z.rows, plen,
+			b, z.rows, h.plens[b],
 			time.Unix(0, z.minStart).UTC().Format(time.RFC3339),
 			time.Unix(0, z.maxEnd).UTC().Format(time.RFC3339),
 			z.distinctCells, z.distinctMOs)

@@ -26,12 +26,13 @@ func segRows(t *testing.T, path string) int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sd, err := decodeSegmentV2(data, path, 1<<30, 1<<30, 1<<30,
-		func(int32) string { return "" }, func(int32) string { return "" }, nil)
-	if err != nil {
+	var sh shard
+	sh.init()
+	if _, err := sh.decodeSegments([]segFile{{path, data}}, 1<<30, 1<<30, 1<<30,
+		func(int32) string { return "" }, func(int32) string { return "" }, nil); err != nil {
 		t.Fatal(err)
 	}
-	return len(sd.seqs)
+	return len(sh.seqs)
 }
 
 // readDictDelta decodes a generation's dictionary file.

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"sort"
@@ -8,7 +9,6 @@ import (
 
 	"sitm/internal/core"
 	"sitm/internal/indoor"
-	"sitm/internal/parallel"
 )
 
 // This file is the semantic query planner: a small composable query AST
@@ -617,51 +617,11 @@ func dedupSorted(slots []int32) []int32 {
 // (fanning out over the worker pool) and the per-shard matches merge by
 // insertion sequence, exactly like the canned query methods built on it.
 func (s *Store) Select(q Query) ([]core.Trajectory, error) {
-	plan, err := s.compile(q)
-	if err != nil {
-		return nil, err
-	}
-	return s.gather(func(sh *shard, out *shardRows) { //sitm:locked
-		ctx := execCtx{s: s, sh: sh}
-		for _, slot := range plan.exec(&ctx) {
-			out.add(sh.seqs[slot], sh.trajAt(slot))
-		}
-	}), nil
+	return s.SelectCtx(context.Background(), q)
 }
 
 // SelectMOs compiles the query and returns the distinct moving objects of
-// the matching trajectories, sorted. MOs never span shards, so the
-// per-shard distinct sets union without cross-shard dedup.
+// the matching trajectories, sorted.
 func (s *Store) SelectMOs(q Query) ([]string, error) {
-	plan, err := s.compile(q)
-	if err != nil {
-		return nil, err
-	}
-	per := make([][]int32, len(s.shards))
-	parallel.ForEach(len(s.shards), func(i int) {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		ctx := execCtx{s: s, sh: sh}
-		var seen map[int32]bool
-		for _, slot := range plan.exec(&ctx) {
-			mo := sh.moIDs[slot]
-			if seen == nil {
-				seen = make(map[int32]bool)
-			}
-			if !seen[mo] {
-				seen[mo] = true
-				per[i] = append(per[i], mo)
-			}
-		}
-		sh.mu.RUnlock()
-	})
-	var out []string
-	snap := s.mos.Freeze() // lock-free Symbol decode of the result batch
-	for _, ids := range per {
-		for _, mo := range ids {
-			out = append(out, snap.Symbol(mo))
-		}
-	}
-	sort.Strings(out)
-	return out, nil
+	return s.SelectMOsCtx(context.Background(), q)
 }

@@ -420,7 +420,7 @@ func listWALFiles(fsys faultfs.FS, dir string, nShards int) (dicts []walFile, ro
 			}
 			gen, err1 := strconv.ParseUint(genStr, 10, 64)
 			shard, err2 := strconv.Atoi(shardStr)
-			if err1 != nil || err2 != nil {
+			if err1 != nil || err2 != nil || shard < 0 {
 				return nil, nil, fmt.Errorf("store: unrecognized wal file %s", name)
 			}
 			if shard >= nShards {

@@ -124,16 +124,15 @@ func (sh *shard) growCell(cell int32) {
 	}
 }
 
-// addSlot appends the per-slot columns and posting-list entries of one
-// trajectory, folds it into the newest live zone (opening a fresh zone
-// every segBlockRows slots) and returns its slot. regs is the
-// trajectory's sorted distinct region closure (nil without an attached
-// region table). Every write path — Put, PutBatch and recovery — goes
-// through here; nothing is re-sorted or compacted, so an insert costs
-// O(trace length).
+// addSlot appends the per-slot columns of one trajectory, folds it into
+// the newest live zone (opening a fresh zone every segBlockRows slots)
+// and indexes it. regs is the trajectory's sorted distinct region
+// closure (nil without an attached region table). Every live write path —
+// PutBatch and WAL recovery — goes through here; nothing is re-sorted or
+// compacted, so an insert costs O(trace length).
 //
 //sitm:locked
-func (sh *shard) addSlot(seq uint64, t core.Trajectory, moID int32, enc, ann, regs []int32) int32 {
+func (sh *shard) addSlot(seq uint64, t core.Trajectory, moID int32, enc, ann, regs []int32) {
 	slot := int32(len(sh.trajs))
 	if n := len(sh.zones); n == 0 || int(sh.zones[n-1].zone.rows) >= segBlockRows {
 		sh.zones = append(sh.zones, liveZone{base: slot})
@@ -147,6 +146,16 @@ func (sh *shard) addSlot(seq uint64, t core.Trajectory, moID int32, enc, ann, re
 	sh.moIDs = append(sh.moIDs, moID)
 	sh.starts = append(sh.starts, st)
 	sh.ends = append(sh.ends, en)
+	sh.indexSlot(slot, moID, enc, ann, regs)
+}
+
+// indexSlot adds one slot, whose columns are already in place, to the
+// posting lists and the trace statistics. It is the one indexing routine:
+// addSlot calls it for live rows and the segment decoder for
+// checkpointed ones.
+//
+//sitm:locked
+func (sh *shard) indexSlot(slot, moID int32, enc, ann, regs []int32) {
 	sh.byMO[moID] = append(sh.byMO[moID], slot)
 	sh.intervals += len(enc)
 	if len(enc) > sh.maxLen {
@@ -179,7 +188,6 @@ func (sh *shard) addSlot(seq uint64, t core.Trajectory, moID int32, enc, ann, re
 		}
 		sh.byRegion[r] = append(sh.byRegion[r], slot)
 	}
-	return slot
 }
 
 // spanOverlaps reports whether the slot's span intersects c's window. The
@@ -226,96 +234,6 @@ func (sh *shard) allTrajs() []core.Trajectory {
 		return append(bs.allTrajs(), sh.trajs[bs.rowCount:]...)
 	}
 	return append([]core.Trajectory(nil), sh.trajs...)
-}
-
-// insertBlockRows bulk-loads a fresh shard's decoded v2 segments, one
-// generation after another: the eager columns append verbatim (trajs
-// zero-filled) into columns sized once for every segment, posting lists
-// build from the encoded traces, and the segments' blocks join one
-// shardBlocks with their slot bases rebased, so the residual stays lazy
-// behind the cache and the decoded zone maps serve the prune loop for
-// these slots. Returns one past the highest seq.
-func (sh *shard) insertBlockRows(segs []*segData) uint64 {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if len(sh.seqs) != 0 {
-		panic("store: insertBlockRows on non-empty shard")
-	}
-	n := 0
-	for _, sd := range segs {
-		n += len(sd.seqs)
-	}
-	sh.seqs = make([]uint64, 0, n)
-	sh.trajs = make([]core.Trajectory, 0, n)
-	sh.encs = make([][]int32, 0, n)
-	sh.anns = make([][]int32, 0, n)
-	sh.moIDs = make([]int32, 0, n)
-	sh.starts = make([]int64, 0, n)
-	sh.ends = make([]int64, 0, n)
-	var next uint64
-	var bs *shardBlocks
-	for _, sd := range segs {
-		base := len(sh.seqs)
-		for ri := range sd.seqs {
-			seq := sd.seqs[ri]
-			if seq >= next {
-				next = seq + 1
-			}
-			enc := sd.encs[ri]
-			slot := int32(len(sh.seqs))
-			sh.seqs = append(sh.seqs, seq)
-			sh.trajs = append(sh.trajs, core.Trajectory{})
-			sh.encs = append(sh.encs, enc)
-			sh.anns = append(sh.anns, sd.anns[ri])
-			sh.moIDs = append(sh.moIDs, sd.moIDs[ri])
-			sh.starts = append(sh.starts, sd.starts[ri])
-			sh.ends = append(sh.ends, sd.ends[ri])
-			sh.byMO[sd.moIDs[ri]] = append(sh.byMO[sd.moIDs[ri]], slot)
-			sh.intervals += len(enc)
-			if len(enc) > sh.maxLen {
-				sh.maxLen = len(enc)
-			}
-			sh.seenGen++
-			if sh.seenGen == 0 {
-				clear(sh.seen)
-				sh.seenGen = 1
-			}
-			for _, id := range enc {
-				sh.growCell(id)
-				if sh.seen[id] != sh.seenGen {
-					sh.seen[id] = sh.seenGen
-					sh.byCell[id] = append(sh.byCell[id], slot)
-				}
-			}
-			for _, p := range sd.anns[ri] {
-				for int(p) >= len(sh.byPair) {
-					sh.byPair = append(sh.byPair, nil)
-				}
-				sh.byPair[p] = append(sh.byPair[p], slot)
-			}
-		}
-		switch {
-		case sd.blocks == nil: // an empty segment
-		case bs == nil:
-			bs = sd.blocks
-		default:
-			// One shardBlocks (one block-cache segment id) per shard:
-			// block indexes stay unique across the appended segments.
-			for _, b := range sd.blocks.blocks {
-				b.base += int32(base)
-				bs.blocks = append(bs.blocks, b)
-			}
-			bs.rowCount += sd.blocks.rowCount
-		}
-	}
-	if bs != nil {
-		// Rebind the per-row decode inputs to the shard's own columns; the
-		// block prefix of those columns never changes after open.
-		n := bs.rowCount
-		bs.encs, bs.moIDs, bs.starts = sh.encs[:n:n], sh.moIDs[:n:n], sh.starts[:n:n]
-		sh.blk = bs
-	}
-	return next
 }
 
 // insertRecovered rebuilds this shard's columns, postings and live zones

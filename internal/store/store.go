@@ -6,7 +6,10 @@
 // hash by moving object across N shards (default GOMAXPROCS), each shard
 // carrying its own lock and posting lists keyed by dense int32 ids instead
 // of strings. Sequence checks are integer compares, posting lookup is
-// slice indexing, and writers to different shards never contend.
+// slice indexing, and writers to different shards never contend. Every
+// write goes through PutBatch (Put is PutBatch of one), and every stored
+// row, live or loaded from a checkpointed segment, is indexed by the same
+// per-slot routine.
 //
 // Read queries fan out across the shards (internal/parallel) and merge by
 // a global insertion sequence, so All, ByMO, Overlapping and
@@ -38,6 +41,7 @@
 package store
 
 import (
+	"context"
 	"encoding/csv"
 	"encoding/json"
 	"errors"
@@ -142,43 +146,23 @@ func (s *Store) encodeAnn(ann core.Annotations) []int32 {
 	return symtab.SortDistinct(ids)
 }
 
-// Put inserts a trajectory: symbols are interned once (outside any shard
-// lock), then the home shard appends it under its own lock — postings and
-// the newest zone map grow in O(trace length), and disjoint moving
-// objects never contend. A durable store does not apply a trajectory
-// holding a time outside the int64 nanosecond range its WAL stores; the
-// rejection is reported by Sync.
-func (s *Store) Put(t core.Trajectory) {
-	if s.dur != nil && !s.dur.admit("Put", t) {
-		return
-	}
-	enc := s.cells.EncodeTrace(t.Trace)
-	moID := s.mos.Intern(t.MO)
-	ann := s.encodeAnn(t.Ann)
-	if s.dur != nil {
-		s.putDurable(t, moID, enc, ann)
-		return
-	}
-	sh := s.shardOf(t.MO)
-	sh.mu.Lock()
-	seq := s.nextSeq.Add(1) - 1
-	// Region closures resolve under the shard lock so every insert orders
-	// cleanly against a concurrent AttachRegions rebuild.
-	sh.addSlot(seq, t, moID, enc, ann, s.trajectoryRegions(t))
-	sh.mu.Unlock()
-}
+// Put inserts one trajectory: PutBatch of one.
+func (s *Store) Put(t core.Trajectory) { s.PutBatch([]core.Trajectory{t}) }
 
-// PutBatch inserts many trajectories, encoding everything outside the
-// locks, reserving one contiguous block of insertion sequences (so the
-// batch is observed in argument order, exactly like sequential Puts), and
-// then visiting every touched shard once: one lock acquisition per touched
-// shard — the amortized write path of streaming ingestion. Like Put, a
-// durable store rejects a batch holding an unstorable time — whole.
+// PutBatch inserts trajectories — the store's one write path. Symbols are
+// interned once, outside any shard lock; one contiguous block of insertion
+// sequences is reserved, so the batch is observed in argument order; then
+// every touched shard is visited once, under its own lock, where postings
+// and the newest zone map grow in O(trace length) per trajectory and
+// disjoint moving objects never contend. A durable store logs the batch
+// to its WALs first, and does not apply a batch holding a time outside
+// the int64 nanosecond range its WAL stores — the whole batch is dropped
+// and the rejection is reported by Sync.
 func (s *Store) PutBatch(ts []core.Trajectory) {
 	if len(ts) == 0 {
 		return
 	}
-	if s.dur != nil && !s.dur.admit("PutBatch", ts...) {
+	if s.dur != nil && !s.dur.admit(ts) {
 		return
 	}
 	encs := make([][]int32, len(ts))
@@ -316,21 +300,26 @@ func placeBySeq[T any](keys []uint64, vals []T) []T {
 }
 
 // gather fans collect out across the shards (each invocation runs under
-// that shard's read lock) and merges the rows into insertion order.
-func (s *Store) gather(collect func(sh *shard, out *shardRows)) []core.Trajectory {
+// that shard's read lock) and merges the rows into insertion order — the
+// one merge-by-seq fan-out. Shards stop being scheduled once ctx is done,
+// and the error is then ctx.Err().
+func (s *Store) gather(ctx context.Context, collect func(sh *shard, out *shardRows)) ([]core.Trajectory, error) {
 	per := make([]shardRows, len(s.shards))
-	parallel.ForEach(len(s.shards), func(i int) {
+	err := parallel.ForEachCtx(ctx, len(s.shards), func(i int) {
 		sh := &s.shards[i]
 		sh.mu.RLock()
 		collect(sh, &per[i])
 		sh.mu.RUnlock()
 	})
+	if err != nil {
+		return nil, err
+	}
 	total := 0
 	for i := range per {
 		total += len(per[i].ts)
 	}
 	if total == 0 {
-		return nil
+		return nil, nil
 	}
 	keys := make([]uint64, 0, total)
 	ts := make([]core.Trajectory, 0, total)
@@ -338,15 +327,16 @@ func (s *Store) gather(collect func(sh *shard, out *shardRows)) []core.Trajector
 		keys = append(keys, per[i].keys...)
 		ts = append(ts, per[i].ts...)
 	}
-	return placeBySeq(keys, ts)
+	return placeBySeq(keys, ts), nil
 }
 
 // All returns all trajectories in insertion order.
 func (s *Store) All() []core.Trajectory {
-	return s.gather(func(sh *shard, out *shardRows) { //sitm:locked
+	out, _ := s.gather(context.Background(), func(sh *shard, out *shardRows) { //sitm:locked
 		out.keys = append([]uint64(nil), sh.seqs...)
 		out.ts = sh.allTrajs()
 	})
+	return out
 }
 
 // ByMO returns the trajectories of one moving object in insertion order.

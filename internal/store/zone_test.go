@@ -390,7 +390,9 @@ func TestDecodeSegmentV2RejectsSaturatedSpans(t *testing.T) {
 			starts: []int64{span[0]}, ends: []int64{span[1]},
 			trajs: []core.Trajectory{{MO: "s", Trace: core.Trace{{Cell: "s", Start: st, End: en}}}},
 		}
-		_, err := decodeSegmentV2(encodeSegmentV2(&c), "t", 1, 1, 1, sym, sym, nil)
+		var sh shard
+		sh.init()
+		_, err := sh.decodeSegments([]segFile{{"t", encodeSegmentV2(&c)}}, 1, 1, 1, sym, sym, nil)
 		if err == nil || !strings.Contains(err.Error(), "span time outside the storable range") {
 			t.Fatalf("span %v: err = %v", span, err)
 		}
