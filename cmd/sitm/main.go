@@ -28,7 +28,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
@@ -139,7 +138,7 @@ commands:
              merged)
   inspect    dump a durable store directory (-store dir or positional):
              manifest, per-segment block layout with zone-map extents,
-             and the block format's compression ratio`)
+             and the segments' bytes on disk`)
 }
 
 func params(seed int64, scale float64) sitm.DatasetParams {
@@ -613,16 +612,11 @@ func runQuery(args []string, out io.Writer) (err error) {
 	var st *sitm.Store
 	if fi, statErr := os.Stat(*storePath); statErr == nil && fi.IsDir() {
 		// A directory is a durable store: recover it instead of parsing
-		// JSON. Querying never writes, so a checkpointed directory is
-		// opened read-only — no WAL is created, appended, or truncated,
-		// and the directory can be served concurrently by a writer. A
-		// directory that has never been checkpointed has no manifest and
-		// only WALs to recover from, which needs the read-write path.
-		opts := sitm.StoreOptions{Shards: *shards}
-		if _, merr := os.Stat(filepath.Join(*storePath, "MANIFEST.json")); merr == nil {
-			opts.ReadOnly = true
-		}
-		st, err = sitm.OpenStore(*storePath, opts)
+		// JSON. Querying never writes, so it is opened read-only — no WAL
+		// is created, appended, or truncated, the directory can be served
+		// concurrently by a writer, and a directory that is not a store
+		// (no MANIFEST) is an error, not a new empty store.
+		st, err = sitm.OpenStore(*storePath, sitm.StoreOptions{Shards: *shards, ReadOnly: true})
 		if err != nil {
 			return err
 		}
@@ -938,9 +932,9 @@ func runCompact(args []string, out io.Writer) error {
 	return st.Close()
 }
 
-// runInspect dumps a durable store directory: manifest, per-segment block
-// layout with zone-map extents, and the compression ratio of the block
-// format against a v1 re-encode. Strictly read-only.
+// runInspect dumps a durable store directory from its file headers:
+// manifest, per-segment block layout with zone-map extents, and the
+// segments' bytes on disk. Strictly read-only.
 func runInspect(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("inspect", flag.ExitOnError)
 	dir := fs.String("store", "", "durable store directory")

@@ -152,9 +152,16 @@ func TestQueryRejectsBadInvocations(t *testing.T) {
 
 // TestQueryPlanRejectsBadInvocations: the composing plan flags surface
 // malformed inputs and unknown regions as errors, with the offending value
-// named.
+// named; a directory that is not a durable store is an error for query
+// and inspect alike, and neither leaves a file behind in it.
 func TestQueryPlanRejectsBadInvocations(t *testing.T) {
 	louvre := []string{"query", "-store", "testdata/louvre-store.json"}
+	plain := t.TempDir()
+	if err := os.WriteFile(filepath.Join(plain, "notes.txt"), []byte("not a store\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	empty := t.TempDir()
+	missing := filepath.Join(empty, "no", "such", "dir")
 	cases := []struct {
 		name string
 		args []string
@@ -168,7 +175,11 @@ func TestQueryPlanRejectsBadInvocations(t *testing.T) {
 		{"bad-model", append(louvre[:len(louvre):len(louvre)], "-region", "Wing:denon", "-model", "martian"), "unknown -model"},
 		{"plan-bad-window", append(louvre[:len(louvre):len(louvre)], "-mo", "alice", "-overlap", "notatime,2017-02-14T00:00:00Z"), "-overlap"},
 		{"plan-short-in-cell", append(louvre[:len(louvre):len(louvre)], "-mo", "alice", "-in-cell", "E"), "cell,from,to"},
+		{"query-not-a-store", []string{"query", "-store", plain, "-through", "E"}, "not a durable store directory"},
+		{"inspect-empty-dir", []string{"inspect", empty}, "not a durable store directory"},
+		{"inspect-missing-dir", []string{"inspect", missing}, "not a durable store directory"},
 	}
+	before := [2]string{treeListing(t, plain), treeListing(t, empty)}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var buf bytes.Buffer
@@ -179,8 +190,37 @@ func TestQueryPlanRejectsBadInvocations(t *testing.T) {
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("run(%v) err = %q, want substring %q", tc.args, err, tc.want)
 			}
+			if after := [2]string{treeListing(t, plain), treeListing(t, empty)}; after != before {
+				t.Fatalf("run(%v) changed a directory:\n%q\nwant\n%q", tc.args, after, before)
+			}
 		})
 	}
+}
+
+// treeListing renders every file and directory under root with its
+// contents, so two listings are equal exactly when the tree is
+// byte-identical.
+func treeListing(t *testing.T, root string) string {
+	t.Helper()
+	var b strings.Builder
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(&b, "%s dir=%v\n", path, d.IsDir())
+		if !d.IsDir() {
+			data, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			b.Write(data)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
 }
 
 // TestQueryDurableStoreGoldens: pointing -store at a durable directory
@@ -322,7 +362,7 @@ func TestGenerateStreamFeedRoundTrip(t *testing.T) {
 // TestGoldenInspect locks the inspect report (E11). The durable directory
 // is rebuilt deterministically on every run — fixed trajectories, fixed
 // shard count, one checkpoint — so the manifest line, the per-segment
-// block layout with zone-map extents, and the compression ratio are all
+// block layout with zone-map extents, and the bytes on disk are all
 // stable bytes.
 func TestGoldenInspect(t *testing.T) {
 	dir := t.TempDir()

@@ -13,9 +13,9 @@ import (
 )
 
 // Block-structured compressed segments, format "SITMSEG2" (DESIGN.md
-// §3.12). Where the v1 format is one monolithic varint blob per shard, a
-// v2 segment splits its rows into fixed-row-count blocks, each carrying
-// its own CRC and a zone map, laid out as:
+// §3.12). Where the retired v1 format was one monolithic varint blob per
+// shard, a v2 segment splits its rows into fixed-row-count blocks, each
+// carrying its own CRC and a zone map, laid out as:
 //
 //	"SITMSEG2"
 //	uvarint headerLen │ header │ crc32c(header)
@@ -699,8 +699,13 @@ type segHeader struct {
 
 // parseSegHeader checks a block-structured segment's magic and header
 // checksum and parses the header, without touching a block: the blocks'
-// row counts must sum to the segment's.
+// row counts must sum to the segment's. A segment in the retired
+// monolithic format fails with an error that names it and the way to
+// upgrade its directory.
 func parseSegHeader(data []byte, path string) (*segHeader, error) {
+	if len(data) >= len(segMagicV1) && string(data[:len(segMagicV1)]) == segMagicV1 {
+		return nil, fmt.Errorf("store: segment %s is in the retired %s format: open and checkpoint its directory with an earlier build (sitm compact), or re-ingest its rows", path, segMagicV1)
+	}
 	ml := len(segMagicV2)
 	if len(data) < ml+1 || string(data[:ml]) != segMagicV2 {
 		return nil, fmt.Errorf("store: %s: bad or missing %s header", path, segMagicV2)
@@ -789,7 +794,6 @@ func (sh *shard) decodeSegments(files []segFile, cellLimit, moLimit, pairLimit i
 		panic("store: decodeSegments on non-empty shard")
 	}
 	sh.seqs = make([]uint64, 0, rows)
-	sh.trajs = make([]core.Trajectory, rows) // block-backed: served by blk.traj
 	sh.encs = make([][]int32, 0, rows)
 	sh.anns = make([][]int32, 0, rows)
 	sh.moIDs = make([]int32, 0, rows)
@@ -1245,7 +1249,7 @@ func (c *cplan) zoneSlots(ctx *execCtx) []int32 {
 			return nil
 		}
 	}
-	nBlocks := 0
+	nBlocks, live := 0, sh.liveBase()
 	if sh.blk != nil {
 		nBlocks = len(sh.blk.blocks)
 	}
@@ -1302,7 +1306,7 @@ func (c *cplan) zoneSlots(ctx *execCtx) []int32 {
 				}
 				tr = block[s-base].Trace
 			} else {
-				tr = sh.trajs[s].Trace
+				tr = sh.trajs[s-live].Trace
 			}
 			for j, id := range sh.encs[s] {
 				if id == c.id && !tr[j].End.Before(from) && !tr[j].Start.After(to) {

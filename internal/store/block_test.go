@@ -5,11 +5,13 @@ package store
 // block boundary is detected), prune equivalence (zone-map pruning is
 // invisible to results across shard counts and GOMAXPROCS), the
 // allocation-free block-cache hit path, cache sharing and eviction, and
-// v1 monolithic segments staying readable.
+// v1 monolithic segments being rejected.
 
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
+	"maps"
 	"math/rand"
 	"os"
 	"runtime"
@@ -300,46 +302,33 @@ func TestBlockCacheSharingAndEviction(t *testing.T) {
 	mustClose(t, c)
 }
 
-// TestV1SegmentBackwardCompat pins the compatibility promise: a directory
-// whose segments were written by the v1 monolithic encoder opens — both
-// read-only and read-write — as the identical store, and the next
-// checkpoint carries the data forward into v2 blocks losslessly.
-func TestV1SegmentBackwardCompat(t *testing.T) {
+// TestV1SegmentRejected: a directory whose segments were written by the
+// retired monolithic encoder fails read-only and writable Open and
+// InspectDir with an error that names the segment file and the way to
+// upgrade it, and every attempt leaves the directory byte-identical.
+func TestV1SegmentRejected(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
-	trajs := richCorpusTrajs(rng, 250)
-	oracle := NewSharded(2)
-	oracle.PutBatch(trajs)
-	want := storeJSON(t, oracle)
-
 	dir := t.TempDir()
-	writeLegacySegmentDir(t, dir, trajs, 2)
-
-	ro := mustOpen(t, dir, Options{ReadOnly: true})
-	if got := storeJSON(t, ro); got != want {
-		t.Fatal("read-only open of a v1 directory diverges from oracle")
+	writeLegacySegmentDir(t, dir, richCorpusTrajs(rng, 250), 2)
+	before := dirBytes(t, dir)
+	seg := segPath(dir, 1, 0)
+	check := func(what string, err error) {
+		t.Helper()
+		if err == nil {
+			t.Fatalf("%s of a %s directory succeeded", what, segMagicV1)
+		}
+		for _, want := range []string{seg, "retired " + segMagicV1, "earlier build"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("%s: error %q does not mention %q", what, err, want)
+			}
+		}
+		if !maps.Equal(dirBytes(t, dir), before) {
+			t.Fatalf("%s changed the directory", what)
+		}
 	}
-	mustClose(t, ro)
-
-	rw := mustOpen(t, dir, Options{})
-	if got := storeJSON(t, rw); got != want {
-		t.Fatal("read-write open of a v1 directory diverges from oracle")
-	}
-	if err := rw.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	mustClose(t, rw)
-
-	// The rewrite must have upgraded the segments to v2.
-	img, err := os.ReadFile(firstSegFile(t, dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(img[:len(segMagicV2)]) != segMagicV2 {
-		t.Fatal("checkpoint after a v1 open must write v2 segments")
-	}
-	again := mustOpen(t, dir, Options{ReadOnly: true})
-	if got := storeJSON(t, again); got != want {
-		t.Fatal("v1→v2 checkpoint round-trip diverges from oracle")
-	}
-	mustClose(t, again)
+	_, err := Open(dir, Options{ReadOnly: true})
+	check("read-only Open", err)
+	_, err = Open(dir, Options{})
+	check("writable Open", err)
+	check("InspectDir", InspectDir(dir, io.Discard))
 }

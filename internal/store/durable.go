@@ -341,7 +341,7 @@ func (d *durable) rotate(s *Store, dictFrom [3]int, rowsFrom []int, newDict *wal
 		sh.mu.RLock()
 		snap.shards[i] = segmentColumns{
 			seqs: sh.seqs[from:], moIDs: sh.moIDs[from:], encs: sh.encs[from:], anns: sh.anns[from:],
-			starts: sh.starts[from:], ends: sh.ends[from:], trajs: sh.trajs[from:],
+			starts: sh.starts[from:], ends: sh.ends[from:], trajs: sh.trajs[from-int(sh.liveBase()):],
 		}
 		sh.mu.RUnlock()
 		rl := &d.rows[i]
@@ -438,9 +438,7 @@ func (s *Store) Checkpoint() error {
 		return retry.MarkTransient(err)
 	}
 
-	// Committed: the rotated WAL generations are dead, and so is any
-	// generation the new manifest no longer lists (a version-1 layout's
-	// rewritten SITMSEG1 generation).
+	// Committed: the rotated WAL generations are dead.
 	d.gen, d.gens = gen, gens
 	for i := range d.ckptRows {
 		d.ckptRows[i] += len(snap.shards[i].seqs)
@@ -573,46 +571,23 @@ func (s *Store) Durability() (DurableStats, bool) {
 	return st, true
 }
 
-// loadSegments loads one shard's listed segments in generation order.
-// The v2 block-structured segments (SITMSEG2) decode together straight
-// into the shard's columns (shard.decodeSegments), their residual rows
-// left lazy behind the block cache; the v1 monolithic segment (SITMSEG1) a
-// version-1 manifest's one generation may hold decodes in full into live
-// rows, keeping directories written by older builds readable. Returns one
-// past the highest row seq loaded (0 when none) and whether the segment
-// was v1.
-func (s *Store) loadSegments(fsys faultfs.FS, dir string, shard int, gens []uint64, v1ok bool, cache *BlockCache) (uint64, bool, error) {
+// loadSegments reads one shard's listed segments and decodes them, in
+// generation order, straight into the shard's columns
+// (shard.decodeSegments), their residual rows left lazy behind the block
+// cache. Returns one past the highest row seq loaded (0 when none).
+func (s *Store) loadSegments(fsys faultfs.FS, dir string, shard int, gens []uint64, cache *BlockCache) (uint64, error) {
 	files := make([]segFile, 0, len(gens))
 	for _, gen := range gens {
 		path := segPath(dir, gen, shard)
 		data, err := fsys.ReadFile(path)
 		if err != nil {
-			return 0, false, fmt.Errorf("store: %s lists generation %d: %w", manifestName, gen, err)
+			return 0, fmt.Errorf("store: %s lists generation %d: %w", manifestName, gen, err)
 		}
-		if len(data) >= len(segMagicV2) && string(data[:len(segMagicV2)]) == segMagicV2 {
-			files = append(files, segFile{path, data})
-			continue
-		}
-		if !v1ok {
-			return 0, false, fmt.Errorf("store: segment %s: not a %s segment", path, segMagicV2)
-		}
-		rows, err := decodeSegment(data, path,
-			s.cells.Len(), s.mos.Len(), s.pairs.Len(),
-			s.cells.Symbol, s.mos.Symbol)
-		if err != nil {
-			return 0, false, err
-		}
-		var next uint64
-		for r := range rows {
-			next = max(next, rows[r].seq+1)
-		}
-		s.shards[shard].insertRecovered(rows)
-		return next, true, nil
+		files = append(files, segFile{path, data})
 	}
-	next, err := s.shards[shard].decodeSegments(files,
+	return s.shards[shard].decodeSegments(files,
 		s.cells.Len(), s.mos.Len(), s.pairs.Len(),
 		s.cells.Symbol, s.mos.Symbol, cache)
-	return next, false, err
 }
 
 // BlockCacheStats returns the residual-block cache counters of a durable
@@ -715,18 +690,17 @@ func recoverDir(fsys faultfs.FS, dir string, man *manifest, opts Options, replay
 		rec.walBytes += n
 	}
 
-	// 3. Segments, shards in parallel: v2 segments append their eager
-	// columns and leave residuals lazy behind the block cache; a version-1
-	// manifest's SITMSEG1 segments decode in full.
+	// 3. Segments, shards in parallel: each shard's generations append
+	// their eager columns as one block-backed prefix and leave residuals
+	// lazy behind the block cache.
 	rec.cache = opts.BlockCache
 	if rec.cache == nil {
 		rec.cache = NewBlockCache(opts.BlockCacheBytes)
 	}
 	maxSeqs := make([]uint64, nShards)
-	v1 := make([]bool, nShards)
 	errs := make([]error, nShards)
 	parallel.ForEach(nShards, func(i int) {
-		maxSeqs[i], v1[i], errs[i] = s.loadSegments(fsys, dir, i, gens, man.Version == manifestV1, rec.cache)
+		maxSeqs[i], errs[i] = s.loadSegments(fsys, dir, i, gens, rec.cache)
 		sh := &s.shards[i]
 		sh.mu.RLock()
 		rec.ckptRows[i] = len(sh.seqs)
@@ -734,15 +708,6 @@ func recoverDir(fsys faultfs.FS, dir string, man *manifest, opts Options, replay
 	})
 	if err := errors.Join(errs...); err != nil {
 		return nil, err
-	}
-	if slices.Contains(v1, true) {
-		if slices.Contains(v1, false) {
-			return nil, fmt.Errorf("store: %s: generation %d mixes %s and %s segments", dir, man.Gen, segMagic, segMagicV2)
-		}
-		// The rows of a SITMSEG1 generation are live, not block-backed:
-		// the next checkpoint rewrites them, with the whole dictionary, as
-		// a v2 generation, and its commit drops this one.
-		rec.gens, rec.ckptRows, rec.ckptDict = nil, make([]int, nShards), [3]int{}
 	}
 
 	// 4. Row-WAL tails per shard (generation order), skipping checkpointed
@@ -925,12 +890,9 @@ func Open(dir string, opts Options) (*Store, error) {
 // sweep. The loaded state is exactly what a read-write open would
 // recover; the directory is left byte-identical.
 func openReadOnly(fsys faultfs.FS, dir string, opts Options) (*Store, error) {
-	man, err := readManifest(fsys, dir)
+	man, err := readStoreManifest(fsys, dir)
 	if err != nil {
 		return nil, err
-	}
-	if man == nil {
-		return nil, fmt.Errorf("store: read-only open of %s: no %s (not a durable store directory)", dir, manifestName)
 	}
 	if opts.Shards != 0 && opts.Shards != man.Shards {
 		return nil, fmt.Errorf("store: directory %s has %d shards; Options.Shards is %d (use 0 to adopt)", dir, man.Shards, opts.Shards)

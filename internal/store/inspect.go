@@ -10,13 +10,13 @@ import (
 
 // InspectDir renders a human-readable report of a durable store
 // directory: the committed MANIFEST, then per committed generation its
-// dictionary delta and, per shard, the segment's format version, on-disk
-// size, rows, block count and zone-map extents, and finally the
-// compression ratio of the block format against a v1 re-encode of the
-// same rows. The report backs the `sitm inspect` subcommand and is
-// read-only: the directory is opened exactly as a read replica would.
+// dictionary delta and, per shard, the segment's on-disk size, rows,
+// block count and zone-map extents, and finally the segments' total
+// bytes on disk. Everything comes from file headers; no row is decoded
+// and the directory is not modified. The report backs the `sitm inspect`
+// subcommand.
 func InspectDir(dir string, w io.Writer) error {
-	man, err := readManifest(faultfs.OS, dir)
+	man, err := readStoreManifest(faultfs.OS, dir)
 	if err != nil {
 		return err
 	}
@@ -47,61 +47,23 @@ func InspectDir(dir string, w io.Writer) error {
 			if err != nil {
 				return err
 			}
+			h, err := parseSegHeader(data, path)
+			if err != nil {
+				return err
+			}
 			diskBytes += int64(len(data))
-			fmt.Fprintf(w, "segment %08d-%04d: %d bytes, ", gen, i, len(data))
-			if len(data) >= len(segMagicV2) && string(data[:len(segMagicV2)]) == segMagicV2 {
-				if err := inspectV2Segment(data, path, w); err != nil {
-					return err
-				}
-			} else {
-				fmt.Fprintf(w, "format v1 (monolithic)\n")
+			fmt.Fprintf(w, "segment %08d-%04d: %d bytes, format v2 (blocks): %d rows in %d blocks\n",
+				gen, i, len(data), h.rows, len(h.zones))
+			for b := range h.zones {
+				z := &h.zones[b]
+				fmt.Fprintf(w, "  block %3d: %4d rows, %6d bytes, span %s .. %s, %d cells, %d MOs\n",
+					b, z.rows, h.plens[b],
+					time.Unix(0, z.minStart).UTC().Format(time.RFC3339),
+					time.Unix(0, z.maxEnd).UTC().Format(time.RFC3339),
+					z.distinctCells, z.distinctMOs)
 			}
 		}
 	}
-
-	// The store itself is the v1 re-encode baseline: a read-only open
-	// materializes exactly the manifest's committed rows plus any WAL
-	// tail, and encodeSegmentV1 over each shard's columns is what the
-	// legacy format would have written for them.
-	s, err := Open(dir, Options{ReadOnly: true})
-	if err != nil {
-		return err
-	}
-	defer s.Close()
-	var v1Bytes int64
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		cols := segmentColumns{
-			seqs: sh.seqs, moIDs: sh.moIDs, encs: sh.encs, anns: sh.anns,
-			starts: sh.starts, ends: sh.ends, trajs: sh.allTrajs(),
-		}
-		v1Bytes += int64(len(encodeSegmentV1(&cols)))
-		sh.mu.RUnlock()
-	}
-	if v1Bytes > 0 {
-		fmt.Fprintf(w, "segments: %d bytes on disk, %d bytes as v1 re-encode (ratio %.2f)\n",
-			diskBytes, v1Bytes, float64(diskBytes)/float64(v1Bytes))
-	}
-	return nil
-}
-
-// inspectV2Segment prints one block-structured segment's header summary:
-// row and block counts, then per block its rows, payload size, time span
-// and distinct-cell/MO counts, straight from the zone maps.
-func inspectV2Segment(data []byte, path string, w io.Writer) error {
-	h, err := parseSegHeader(data, path)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "format v2 (blocks): %d rows in %d blocks\n", h.rows, len(h.zones))
-	for b := range h.zones {
-		z := &h.zones[b]
-		fmt.Fprintf(w, "  block %3d: %4d rows, %6d bytes, span %s .. %s, %d cells, %d MOs\n",
-			b, z.rows, h.plens[b],
-			time.Unix(0, z.minStart).UTC().Format(time.RFC3339),
-			time.Unix(0, z.maxEnd).UTC().Format(time.RFC3339),
-			z.distinctCells, z.distinctMOs)
-	}
+	fmt.Fprintf(w, "segments: %d bytes on disk\n", diskBytes)
 	return nil
 }

@@ -226,11 +226,10 @@ func writeParentV2Dir(t *testing.T, dir string, trajs []core.Trajectory, shards 
 }
 
 // TestParentLayoutOpensAndUpgrades: a directory in the previous build's
-// layout (version-1 manifest, full dictionary file, SITMSEG1 or SITMSEG2
-// segments) opens read-only and writable as the identical store, and the
-// next checkpoint writes the multi-generation layout: a SITMSEG2
-// generation is kept and the new rows follow it, a SITMSEG1 generation is
-// rewritten whole and dropped.
+// layout (version-1 manifest, full dictionary file, SITMSEG2 segments)
+// opens read-only and writable as the identical store, and the next
+// checkpoint writes the multi-generation layout: the SITMSEG2 generation
+// is kept and the new rows follow it.
 func TestParentLayoutOpensAndUpgrades(t *testing.T) {
 	shards := shardCount()
 	if shards == 0 {
@@ -251,10 +250,6 @@ func TestParentLayoutOpensAndUpgrades(t *testing.T) {
 		gens     string // generations listed after the upgrade
 		segFiles []string
 	}{
-		{"v1-segments", func(t *testing.T, dir string, trajs []core.Trajectory, n int) {
-			writeLegacySegmentDir(t, dir, trajs, n)
-		},
-			0, "[2]", genFiles(2)},
 		{"v2-segments", writeParentV2Dir,
 			shards, "[1 2]", append(genFiles(1), genFiles(2)...)},
 	} {
@@ -422,7 +417,7 @@ segment 00000002-0000: 166 bytes, format v2 (blocks): 3 rows in 1 blocks
   block   0:    3 rows,     92 bytes, span 2017-02-14T00:00:00Z .. 2017-02-14T00:03:00Z, 4 cells, 2 MOs
 segment 00000002-0001: 166 bytes, format v2 (blocks): 3 rows in 1 blocks
   block   0:    3 rows,     92 bytes, span 2017-02-14T00:00:00Z .. 2017-02-14T00:03:00Z, 4 cells, 2 MOs
-segments: 664 bytes on disk, 902 bytes as v1 re-encode (ratio 0.74)
+segments: 664 bytes on disk
 `
 	if buf.String() != want {
 		t.Fatalf("inspect report:\n%s\nwant:\n%s", buf.String(), want)

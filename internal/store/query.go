@@ -319,11 +319,11 @@ func (c *cplan) estimate(sh *shard) int {
 	case kMO:
 		return len(sh.byMO[c.id])
 	case kTime:
-		return len(sh.trajs)
+		return len(sh.seqs)
 	case kCellDuring:
 		return len(sh.posting(c.id))
 	case kThrough:
-		est := len(sh.trajs)
+		est := len(sh.seqs)
 		for _, id := range c.run {
 			if n := len(sh.posting(id)); n < est {
 				est = n
@@ -331,7 +331,7 @@ func (c *cplan) estimate(sh *shard) int {
 		}
 		return est
 	case kThroughRegions:
-		est := len(sh.trajs)
+		est := len(sh.seqs)
 		for _, r := range c.regs {
 			if n := len(sh.regionPosting(r)); n < est {
 				est = n
@@ -339,7 +339,7 @@ func (c *cplan) estimate(sh *shard) int {
 		}
 		return est
 	case kAnd:
-		est := len(sh.trajs)
+		est := len(sh.seqs)
 		for _, k := range c.kids {
 			if n := k.estimate(sh); n < est {
 				est = n
@@ -350,13 +350,13 @@ func (c *cplan) estimate(sh *shard) int {
 		est := 0
 		for _, k := range c.kids {
 			est += k.estimate(sh)
-			if est >= len(sh.trajs) {
-				return len(sh.trajs)
+			if est >= len(sh.seqs) {
+				return len(sh.seqs)
 			}
 		}
 		return est
 	}
-	return len(sh.trajs)
+	return len(sh.seqs)
 }
 
 // postingBacked reports whether the node is answered by one stored posting

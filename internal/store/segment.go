@@ -46,7 +46,9 @@ const (
 	manifestV1      = 1
 	manifestVersion = 2
 
-	segMagic       = "SITMSEG1"
+	// segMagicV1 marks the retired monolithic segment format; it is
+	// recognized only to reject it (parseSegHeader).
+	segMagicV1     = "SITMSEG1"
 	dictMagic      = "SITMDCT1" // full dictionary pages (manifest v1)
 	dictDeltaMagic = "SITMDCT2" // per dictionary: first new id + page
 
@@ -119,6 +121,16 @@ func readManifest(fsys faultfs.FS, dir string) (*manifest, error) {
 		}
 	}
 	return &m, nil
+}
+
+// readStoreManifest is readManifest for a directory that must already be
+// a store: a missing MANIFEST is an error, not a fresh store.
+func readStoreManifest(fsys faultfs.FS, dir string) (*manifest, error) {
+	man, err := readManifest(fsys, dir)
+	if err == nil && man == nil {
+		err = fmt.Errorf("store: %s: no %s (not a durable store directory)", dir, manifestName)
+	}
+	return man, err
 }
 
 // writeManifest commits a manifest atomically: temp file, fsync, rename,
@@ -269,86 +281,6 @@ type segmentColumns struct {
 	starts []int64 // span start per row, unix nanos
 	ends   []int64
 	trajs  []core.Trajectory // residual source (encoded outside the gate)
-}
-
-// encodeSegmentV1 lays the captured columns out column-major: row count,
-// then the seqs, moIDs, encs, anns and span columns, then the residual
-// row blobs — one monolithic checksummed blob. Kept verbatim as the
-// legacy baseline the E11 floors measure against; checkpoints write the
-// block-structured v2 layout (block.go) instead.
-func encodeSegmentV1(c *segmentColumns) []byte {
-	var p []byte
-	p = binary.AppendUvarint(p, uint64(len(c.seqs)))
-	for _, s := range c.seqs {
-		p = binary.AppendUvarint(p, s)
-	}
-	for _, id := range c.moIDs {
-		p = binary.AppendUvarint(p, uint64(id))
-	}
-	for _, enc := range c.encs {
-		p = appendIDs(p, enc)
-	}
-	for _, ann := range c.anns {
-		p = appendIDs(p, ann)
-	}
-	for i := range c.starts {
-		p = binary.AppendVarint(p, c.starts[i])
-		p = binary.AppendVarint(p, c.ends[i])
-	}
-	for i := range c.trajs {
-		p = appendRowResidual(p, c.trajs[i])
-	}
-	return frame(segMagic, p)
-}
-
-// decodeSegment rebuilds the rows of one segment. Dictionary limits and
-// resolvers come from the already-loaded dict pages; every id is
-// validated, so a segment referencing symbols its dict file doesn't hold
-// is rejected (that combination cannot come from a completed checkpoint).
-func decodeSegment(data []byte, path string, cellLimit, moLimit, pairLimit int, cells, mos func(int32) string) ([]durableRow, error) {
-	payload, err := unframe(segMagic, data, path)
-	if err != nil {
-		return nil, err
-	}
-	d := &rowDecoder{b: payload}
-	n := d.count(1)
-	if d.err != nil {
-		return nil, d.err
-	}
-	rows := make([]durableRow, n)
-	for i := range rows {
-		rows[i].seq = d.uvarint()
-	}
-	for i := range rows {
-		v := d.uvarint()
-		if d.err == nil && v >= uint64(moLimit) {
-			d.fail(fmt.Sprintf("mo id %d beyond dictionary size %d", v, moLimit))
-		}
-		rows[i].moID = int32(v)
-	}
-	for i := range rows {
-		rows[i].enc = d.ids(cellLimit)
-	}
-	for i := range rows {
-		rows[i].ann = d.ids(pairLimit)
-	}
-	for range rows {
-		d.varint() // span columns: every row's span re-derives from its trace
-		d.varint()
-	}
-	if d.err != nil {
-		return nil, fmt.Errorf("store: segment %s: %w", path, d.err)
-	}
-	for i := range rows {
-		rows[i].traj = d.rowResidual(rows[i].moID, rows[i].enc, cells, mos)
-		if d.err != nil {
-			return nil, fmt.Errorf("store: segment %s row %d: %w", path, i, d.err)
-		}
-	}
-	if len(d.b) != 0 {
-		return nil, fmt.Errorf("store: segment %s: %d trailing bytes", path, len(d.b))
-	}
-	return rows, nil
 }
 
 // sweepDir deletes from dir what the manifest does not reference:

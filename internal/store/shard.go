@@ -20,7 +20,7 @@ type shard struct {
 	//sitm:guardedby mu
 	seqs []uint64 // global insertion sequence
 	//sitm:guardedby mu
-	trajs []core.Trajectory // the trajectory itself
+	trajs []core.Trajectory // live slots' trajectories, indexed slot − liveBase()
 	//sitm:guardedby mu
 	encs [][]int32 // interned Trace cells (write-time encoding)
 	//sitm:guardedby mu
@@ -52,10 +52,10 @@ type shard struct {
 	//sitm:guardedby mu
 	maxLen int // longest encoded trace (corpus scratch sizing)
 
-	// blk is the lazily materialized segment prefix recovered from a v2
-	// block-structured segment (nil for in-memory stores, v1 recoveries
-	// and fresh shards): slots [0, blk.rowCount) have zero-value trajs
-	// entries and are served by blk.traj through the block cache. Its
+	// blk is the lazily materialized prefix recovered from the shard's
+	// segments (nil for in-memory stores and shards opened without one):
+	// slots [0, blk.rowCount) are served by blk.traj through the block
+	// cache, and only the live slots after them have trajs entries. Its
 	// blocks' zone maps precede the live zones in the prune loop
 	// (zoneSlots).
 	//sitm:guardedby mu
@@ -133,7 +133,7 @@ func (sh *shard) growCell(cell int32) {
 //
 //sitm:locked
 func (sh *shard) addSlot(seq uint64, t core.Trajectory, moID int32, enc, ann, regs []int32) {
-	slot := int32(len(sh.trajs))
+	slot := int32(len(sh.seqs))
 	if n := len(sh.zones); n == 0 || int(sh.zones[n-1].zone.rows) >= segBlockRows {
 		sh.zones = append(sh.zones, liveZone{base: slot})
 	}
@@ -210,8 +210,19 @@ func (sh *shard) spanOverlaps(slot int32, c *cplan) bool {
 //
 //sitm:locked
 func (sh *shard) spanOverlapsExact(slot int32, c *cplan) bool {
-	t := &sh.trajs[slot]
+	t := sh.trajAt(slot)
 	return !t.End().Before(c.from) && !t.Start().After(c.to)
+}
+
+// liveBase is the first live slot: the block-backed prefix's row count,
+// 0 without one.
+//
+//sitm:locked
+func (sh *shard) liveBase() int32 {
+	if sh.blk == nil {
+		return 0
+	}
+	return int32(sh.blk.rowCount)
 }
 
 // trajAt returns the trajectory at slot, materializing its block through
@@ -219,10 +230,11 @@ func (sh *shard) spanOverlapsExact(slot int32, c *cplan) bool {
 //
 //sitm:locked
 func (sh *shard) trajAt(slot int32) core.Trajectory {
-	if bs := sh.blk; bs != nil && int(slot) < bs.rowCount {
-		return bs.traj(slot)
+	base := sh.liveBase()
+	if slot < base {
+		return sh.blk.traj(slot)
 	}
-	return sh.trajs[slot]
+	return sh.trajs[slot-base]
 }
 
 // allTrajs returns a copy of every slot's trajectory in slot order,
@@ -231,15 +243,14 @@ func (sh *shard) trajAt(slot int32) core.Trajectory {
 //sitm:locked
 func (sh *shard) allTrajs() []core.Trajectory {
 	if bs := sh.blk; bs != nil {
-		return append(bs.allTrajs(), sh.trajs[bs.rowCount:]...)
+		return append(bs.allTrajs(), sh.trajs...)
 	}
 	return append([]core.Trajectory(nil), sh.trajs...)
 }
 
-// insertRecovered rebuilds this shard's columns, postings and live zones
-// from decoded durable rows (v1 segment rows, then WAL-tail rows),
-// carrying each row's original insertion sequence explicitly — recovered
-// sequences are not contiguous. Region postings are left empty: a later
+// insertRecovered appends decoded WAL-tail rows to this shard's columns,
+// postings and live zones, carrying each row's original insertion
+// sequence explicitly — recovered sequences are not contiguous. Region postings are left empty: a later
 // AttachRegions rebuilds them from the recovered trajectories, the same
 // contract the in-memory store has.
 func (sh *shard) insertRecovered(rows []durableRow) {

@@ -202,7 +202,7 @@ func (s *Store) Len() int {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		n += len(sh.trajs)
+		n += len(sh.seqs)
 		sh.mu.RUnlock()
 	}
 	return n
@@ -692,7 +692,7 @@ func (s *Store) Summarize() Summary {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		sum.Trajectories += len(sh.trajs)
+		sum.Trajectories += len(sh.seqs)
 		sum.MOs += len(sh.byMO)
 		sum.Intervals += sh.intervals
 		sh.mu.RUnlock()

@@ -163,6 +163,16 @@ func zonePruneLiveAndMixed(t *testing.T) {
 				if s.shards[0].blk == nil || len(s.shards[0].zones) == 0 {
 					t.Fatal("mixed store must hold both checkpointed blocks and live zones")
 				}
+				// Only the rows put after the reopen hold trajectory values.
+				live := make([]int, shards)
+				for _, tr := range trajs[half:] {
+					live[s.shardIndex(tr.MO)]++
+				}
+				for i := range s.shards {
+					if n := len(s.shards[i].trajs); n != live[i] {
+						t.Fatalf("shard %d holds %d trajectory values, want its %d post-reopen rows", i, n, live[i])
+					}
+				}
 				checkWindowPlans(t, s, trajs, rng, 45)
 			})
 		}

@@ -466,8 +466,8 @@ func NewBlockCache(capBytes int64) *BlockCache { return store.NewBlockCache(capB
 
 // InspectStoreDir writes a human-readable report of a durable store
 // directory — manifest, per-segment block layout and zone-map extents,
-// and the block format's compression ratio — without modifying it. It
-// backs the `sitm inspect` subcommand.
+// and the segments' bytes on disk — from file headers alone, without
+// modifying it. It backs the `sitm inspect` subcommand.
 func InspectStoreDir(dir string, w io.Writer) error { return store.InspectDir(dir, w) }
 
 // ---- Semantic query planner ------------------------------------------------
