@@ -85,7 +85,8 @@ type zoneMap struct {
 }
 
 // liveZone is the zone map of the live slots [base, base+zone.rows): rows
-// inserted since open, or all rows of a store that never checkpointed.
+// inserted since the last checkpoint (or open), or all rows of an
+// in-memory store.
 type liveZone struct {
 	base int32
 	zone zoneMap
@@ -156,8 +157,8 @@ func checkTrajectoryTimes(t core.Trajectory) error {
 
 // fold widens the zone to cover one more row: its seq, its span [stN,
 // enN] (saturated unix nanos) and its presence intervals tr with their
-// cell ids enc. It is the one rule for zone extents — addSlot folds each
-// live row as it arrives and encodeBlock each row of a block it writes.
+// cell ids enc. It is the one rule for zone extents — foldZone folds each
+// live row and encodeBlock each row of a block it writes.
 // O(len(tr)), no allocation.
 // The extents come from the span alone; each interval adds its cell to
 // the bloom, and one outside the span (or any time outside the int64
@@ -436,43 +437,42 @@ func (d *rowDecoder) skipLocalAnn(limit int) {
 // encodeSegmentV2 lays the captured columns out as a block-structured
 // segment: segBlockRows rows per block (the last one partial), per-column
 // cheap encodings, one CRC and zone map per block. c.trajs must hold every
-// row's trajectory.
-func encodeSegmentV2(c *segmentColumns) []byte {
+// row's trajectory. Each block's blockInfo (its residual aliasing the
+// returned bytes, its base left to appendBlocks) comes back too: what
+// decodeSegments would read from them, for shard.adoptSegment.
+func encodeSegmentV2(c *segmentColumns) ([]byte, []blockInfo) {
 	n := len(c.seqs)
 	trajs := c.trajs
 	var payloads [][]byte
-	var zones []zoneMap
+	var infos []blockInfo
 	var bufs blockBufs
 	for base := 0; base < n; base += segBlockRows {
-		end := base + segBlockRows
-		if end > n {
-			end = n
-		}
-		p, z := encodeBlock(c, trajs, base, end, &bufs)
+		p, info := encodeBlock(c, trajs, base, min(base+segBlockRows, n), &bufs)
 		payloads = append(payloads, p)
-		zones = append(zones, z)
+		infos = append(infos, info)
 	}
 	var hdr []byte
 	hdr = binary.AppendUvarint(hdr, uint64(n))
 	hdr = binary.AppendUvarint(hdr, uint64(len(payloads)))
 	for i := range payloads {
 		hdr = binary.AppendUvarint(hdr, uint64(len(payloads[i])))
-		hdr = appendZone(hdr, &zones[i])
+		hdr = appendZone(hdr, &infos[i].zone)
 	}
 	size := len(segMagicV2) + binary.MaxVarintLen64 + len(hdr) + 4
 	for _, p := range payloads {
 		size += len(p) + 4
 	}
-	out := make([]byte, 0, size)
+	out := make([]byte, 0, size) // never regrows: the residual aliases stay on it
 	out = append(out, segMagicV2...)
 	out = binary.AppendUvarint(out, uint64(len(hdr)))
 	out = append(out, hdr...)
 	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(hdr, castagnoliTable))
-	for _, p := range payloads {
+	for i, p := range payloads {
 		out = append(out, p...)
+		infos[i].res = out[len(out)-len(infos[i].res):] // the payload's tail
 		out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(p, castagnoliTable))
 	}
-	return out
+	return out, infos
 }
 
 // gcd64 is the binary-size GCD over unsigned deltas; gcd64(0, x) == x, so
@@ -527,8 +527,9 @@ func blockTimeScale(c *segmentColumns, trajs []core.Trajectory, base, end int) u
 type blockBufs struct{ p, rp []byte }
 
 // encodeBlock encodes rows [base, end) of the captured columns as one
-// block payload and its zone map.
-func encodeBlock(c *segmentColumns, trajs []core.Trajectory, base, end int, bufs *blockBufs) ([]byte, zoneMap) {
+// block payload and returns it with the block's blockInfo, whose residual
+// section aliases the payload's tail.
+func encodeBlock(c *segmentColumns, trajs []core.Trajectory, base, end int, bufs *blockBufs) ([]byte, blockInfo) {
 	rows := end - base
 	var z zoneMap
 	for i := base; i < end; i++ {
@@ -666,20 +667,22 @@ func encodeBlock(c *segmentColumns, trajs []core.Trajectory, base, end int, bufs
 			rp = appendLocalAnnotations(rp, pt.TransitionAnn, intern)
 		}
 	}
+	resOff := len(p)
 	p = binary.AppendUvarint(p, uint64(len(strDict)))
 	for _, s := range strDict {
 		p = appendStr(p, s)
 	}
 	p = append(p, rp...)
 	bufs.p, bufs.rp = p, rp
-	return slices.Clone(p), z
+	p = slices.Clone(p)
+	return p, blockInfo{zone: z, tscale: tsc, res: p[resOff:]}
 }
 
 // ---- Decoding ------------------------------------------------------------
 
 // blockInfo is the retained per-block state: slot base, zone map, time
-// scale, and the raw residual section (aliasing the segment's file
-// buffer).
+// scale, and the raw residual section (aliasing the segment's bytes: the
+// file buffer a cold open read, or the image a checkpoint wrote).
 type blockInfo struct {
 	base   int32
 	zone   zoneMap
@@ -773,9 +776,9 @@ type segFile struct {
 // corruption), the residual structure validated and left lazy behind the
 // block cache, and the block's slots indexed by indexSlot. Every block
 // joins the shard's one shardBlocks (one block-cache segment id) at its
-// final slot base. Errors name the failing segment, block and byte
-// offset; a failed block fails the load, it never panics later. Returns
-// one past the highest seq loaded (0 when none).
+// final slot base (appendBlocks). Errors name the failing segment, block
+// and byte offset; a failed block fails the load, it never panics later.
+// Returns one past the highest seq loaded (0 when none).
 func (sh *shard) decodeSegments(files []segFile, cellLimit, moLimit, pairLimit int, cells, mos func(int32) string, cache *BlockCache) (uint64, error) {
 	hdrs := make([]*segHeader, len(files))
 	rows, nBlocks := 0, 0
@@ -799,8 +802,7 @@ func (sh *shard) decodeSegments(files []segFile, cellLimit, moLimit, pairLimit i
 	sh.moIDs = make([]int32, 0, rows)
 	sh.starts = make([]int64, 0, rows)
 	sh.ends = make([]int64, 0, rows)
-	bs := &shardBlocks{cache: cache, segID: nextBlockSegID.Add(1), rowCount: rows,
-		blocks: make([]blockInfo, 0, nBlocks), sh: sh, cellSym: cells, moSym: mos}
+	infos := make([]blockInfo, 0, nBlocks)
 	var next uint64
 	for i, f := range files {
 		pos := hdrs[i].body
@@ -825,7 +827,7 @@ func (sh *shard) decodeSegments(files []segFile, cellLimit, moLimit, pairLimit i
 			for slot := base; slot < len(sh.seqs); slot++ {
 				sh.indexSlot(int32(slot), sh.moIDs[slot], sh.encs[slot], sh.anns[slot], nil)
 			}
-			bs.blocks = append(bs.blocks, blockInfo{base: int32(base), zone: *z, tscale: tscale, res: res})
+			infos = append(infos, blockInfo{zone: *z, tscale: tscale, res: res})
 			next = max(next, z.maxSeq+1)
 			pos += plen + 4
 		}
@@ -833,10 +835,31 @@ func (sh *shard) decodeSegments(files []segFile, cellLimit, moLimit, pairLimit i
 			return 0, fmt.Errorf("store: segment %s: %d trailing bytes", f.path, len(f.data)-pos)
 		}
 	}
-	if rows > 0 {
+	sh.appendBlocks(infos, cache, cells, mos)
+	return next, nil
+}
+
+// appendBlocks appends blocks to the shard's block-backed prefix, setting
+// each one's base to its final slot, and creates the prefix (fresh
+// block-cache segment id) on the first one. Cold opens and checkpoints
+// both grow prefixes only here.
+//
+//sitm:locked
+func (sh *shard) appendBlocks(blocks []blockInfo, cache *BlockCache, cells, mos func(int32) string) {
+	if len(blocks) == 0 {
+		return
+	}
+	bs := sh.blk
+	if bs == nil {
+		bs = &shardBlocks{cache: cache, segID: nextBlockSegID.Add(1), sh: sh, cellSym: cells, moSym: mos}
 		sh.blk = bs
 	}
-	return next, nil
+	first := len(bs.blocks)
+	bs.blocks = append(bs.blocks, blocks...)
+	for i := first; i < len(bs.blocks); i++ {
+		bs.blocks[i].base = int32(bs.rowCount)
+		bs.rowCount += int(bs.blocks[i].zone.rows)
+	}
 }
 
 // decodeBlockColumns appends one block's eager columns to the shard's,
@@ -1082,19 +1105,20 @@ func (sh *shard) validateBlockResidual(res []byte, base, rows int, tscale int64)
 // ---- Lazy block state ----------------------------------------------------
 
 // shardBlocks is a shard's lazily materialized segment prefix: slots
-// [0, rowCount) were recovered from the shard's v2 segments, one
-// generation after another, with their eager columns inserted but their
+// [0, rowCount) are held by the shard's committed segments, one generation
+// after another, with their eager columns in the shard and their
 // trajectory column empty. traj materializes a slot's block through the
-// shared cache on demand. All fields are immutable after open, so reads
-// need no lock beyond the cache's own.
+// shared cache on demand. blocks and rowCount only grow (appendBlocks),
+// under the owning shard's write lock; every reader holds its read lock.
+// An appended block never changes, so a cached materialization stays
+// valid.
 type shardBlocks struct {
 	cache    *BlockCache
 	segID    uint64
 	rowCount int
 	blocks   []blockInfo
 	// sh is the owning shard: its encs, moIDs and starts columns are the
-	// per-row decode inputs, and their block prefix never changes after
-	// open.
+	// per-row decode inputs, and their block prefix never changes.
 	sh      *shard
 	cellSym func(int32) string
 	moSym   func(int32) string
@@ -1103,6 +1127,7 @@ type shardBlocks struct {
 // blockOf locates the block holding slot (binary search on block bases).
 //
 //sitm:hotpath
+//sitm:locked
 func (bs *shardBlocks) blockOf(slot int32) int {
 	lo, hi := 0, len(bs.blocks)
 	for hi-lo > 1 {
@@ -1118,6 +1143,8 @@ func (bs *shardBlocks) blockOf(slot int32) int {
 
 // traj returns the trajectory at slot, materializing its block on a cache
 // miss. The cache-hit path is allocation-free.
+//
+//sitm:locked
 func (bs *shardBlocks) traj(slot int32) core.Trajectory {
 	b := bs.blockOf(slot)
 	return bs.materialize(b)[slot-bs.blocks[b].base]
@@ -1125,6 +1152,8 @@ func (bs *shardBlocks) traj(slot int32) core.Trajectory {
 
 // materialize returns the decoded trajectories of one block, consulting
 // the shared cache first.
+//
+//sitm:locked
 func (bs *shardBlocks) materialize(b int) []core.Trajectory {
 	key := blockKey{seg: bs.segID, block: int32(b)}
 	if bs.cache != nil {
@@ -1134,8 +1163,8 @@ func (bs *shardBlocks) materialize(b int) []core.Trajectory {
 	}
 	ts, err := bs.decodeBlockTrajs(b)
 	if err != nil {
-		// Unreachable: the residual section was structurally validated at
-		// open, and the inputs are immutable.
+		// Unreachable: the residual section was validated at open or
+		// encoded from these very columns, and the inputs are immutable.
 		panic(fmt.Errorf("store: segment block %d failed decode after validation: %w", b, err))
 	}
 	if bs.cache != nil {
@@ -1153,6 +1182,8 @@ func blockFootprint(info *blockInfo, rows int) int64 {
 
 // allTrajs materializes every block in order, touching each block
 // exactly once.
+//
+//sitm:locked
 func (bs *shardBlocks) allTrajs() []core.Trajectory {
 	out := make([]core.Trajectory, 0, bs.rowCount)
 	for b := range bs.blocks {

@@ -305,7 +305,8 @@ func TestBlockCacheSharingAndEviction(t *testing.T) {
 // TestV1SegmentRejected: a directory whose segments were written by the
 // retired monolithic encoder fails read-only and writable Open and
 // InspectDir with an error that names the segment file and the way to
-// upgrade it, and every attempt leaves the directory byte-identical.
+// upgrade it — once, not once per shard — and every attempt leaves the
+// directory byte-identical.
 func TestV1SegmentRejected(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	dir := t.TempDir()
@@ -318,8 +319,8 @@ func TestV1SegmentRejected(t *testing.T) {
 			t.Fatalf("%s of a %s directory succeeded", what, segMagicV1)
 		}
 		for _, want := range []string{seg, "retired " + segMagicV1, "earlier build"} {
-			if !strings.Contains(err.Error(), want) {
-				t.Fatalf("%s: error %q does not mention %q", what, err, want)
+			if n := strings.Count(err.Error(), want); n != 1 {
+				t.Fatalf("%s: error %q mentions %q %d times, want once", what, err, want, n)
 			}
 		}
 		if !maps.Equal(dirBytes(t, dir), before) {

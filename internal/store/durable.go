@@ -133,8 +133,6 @@ type durable struct {
 	//sitm:guardedby ckptMu
 	gens []uint64 // committed generations the next manifest keeps, oldest first
 	//sitm:guardedby ckptMu
-	ckptRows []int // per shard: leading slots held by the kept generations' segments
-	//sitm:guardedby ckptMu
 	ckptDict [3]int // per dictionary: symbols held by the kept generations' files
 	//sitm:guardedby ckptMu
 	walGen uint64 // generation of the current WAL files
@@ -308,11 +306,11 @@ func (snap *ckptSnapshot) empty() bool {
 }
 
 // rotate runs under the gate held exclusive: captures the snapshot of
-// what follows the committed dictionary lengths dictFrom and shard slots
-// rowsFrom, swaps every WAL to the pre-created next-generation logs, and
-// closes (flushing and syncing) the old ones. It returns the snapshot and
-// the old WAL paths for post-commit deletion.
-func (d *durable) rotate(s *Store, dictFrom [3]int, rowsFrom []int, newDict *wal.Log, newRows []*wal.Log) (*ckptSnapshot, []string) {
+// what follows the committed dictionary lengths dictFrom and each shard's
+// block-backed prefix (its live rows), swaps every WAL to the pre-created
+// next-generation logs, and closes (flushing and syncing) the old ones. It
+// returns the snapshot and the old WAL paths for post-commit deletion.
+func (d *durable) rotate(s *Store, dictFrom [3]int, newDict *wal.Log, newRows []*wal.Log) (*ckptSnapshot, []string) {
 	snap := &ckptSnapshot{
 		nextSeq: s.nextSeq.Load(),
 		shards:  make([]segmentColumns, len(s.shards)),
@@ -335,13 +333,12 @@ func (d *durable) rotate(s *Store, dictFrom [3]int, rowsFrom []int, newDict *wal
 	oldPaths = append(oldPaths, oldDict.Path())
 	for i := range s.shards {
 		sh := &s.shards[i]
-		// The kept segments hold slots [0, from), every block-backed slot
-		// among them, so the tail is live rows only.
-		from := rowsFrom[i]
+		// Every commit adopts its blocks, so the tail is the live rows.
 		sh.mu.RLock()
+		from := sh.liveBase()
 		snap.shards[i] = segmentColumns{
 			seqs: sh.seqs[from:], moIDs: sh.moIDs[from:], encs: sh.encs[from:], anns: sh.anns[from:],
-			starts: sh.starts[from:], ends: sh.ends[from:], trajs: sh.trajs[from-int(sh.liveBase()):],
+			starts: sh.starts[from:], ends: sh.ends[from:], trajs: sh.trajs,
 		}
 		sh.mu.RUnlock()
 		rl := &d.rows[i]
@@ -365,10 +362,11 @@ func (d *durable) rotate(s *Store, dictFrom [3]int, rowsFrom []int, newDict *wal
 // committing happen with writers flowing into the fresh WALs, and cost
 // O(rows since the previous checkpoint). On success the replayed-away WAL
 // files are deleted; earlier generations stay, listed before the new one.
-// A checkpoint with nothing new writes no generation. A failure leaves the
-// previous generations authoritative and every row still recoverable from
-// the (now two generations of) WAL files. Checkpoint on an in-memory store
-// is a no-op.
+// A checkpoint with nothing new writes no generation. On commit each shard
+// adopts the blocks it wrote (shard.adoptSegment). A failure leaves the
+// previous generations authoritative, every row still recoverable from
+// the (now two generations of) WAL files, and memory untouched.
+// Checkpoint on an in-memory store is a no-op.
 func (s *Store) Checkpoint() error {
 	d := s.dur
 	if d == nil {
@@ -395,7 +393,7 @@ func (s *Store) Checkpoint() error {
 		return retry.MarkTransient(err)
 	}
 	d.gate.Lock()
-	snap, oldWAL := d.rotate(s, d.ckptDict, d.ckptRows, newDict, newRows)
+	snap, oldWAL := d.rotate(s, d.ckptDict, newDict, newRows)
 	d.gate.Unlock()
 	d.walGen = nextWAL
 	// The rotated-out files stay tracked until a checkpoint commits: on
@@ -424,13 +422,14 @@ func (s *Store) Checkpoint() error {
 		return retry.MarkTransient(err)
 	}
 	segErrs := make([]error, len(snap.shards))
+	segBlocks := make([][]blockInfo, len(snap.shards))
 	parallel.ForEach(len(snap.shards), func(i int) {
-		segErrs[i] = commitFile(d.fs, segPath(d.dir, gen, i), encodeSegmentV2(&snap.shards[i]))
+		var data []byte
+		data, segBlocks[i] = encodeSegmentV2(&snap.shards[i])
+		segErrs[i] = commitFile(d.fs, segPath(d.dir, gen, i), data)
 	})
-	for _, err := range segErrs {
-		if err != nil {
-			return retry.MarkTransient(err)
-		}
+	if err := firstErr(segErrs); err != nil {
+		return retry.MarkTransient(err)
 	}
 	gens := append(slices.Clip(d.gens), gen)
 	man := &manifest{Version: manifestVersion, Shards: len(d.rows), Gen: gen, NextSeq: snap.nextSeq, Gens: gens}
@@ -438,10 +437,14 @@ func (s *Store) Checkpoint() error {
 		return retry.MarkTransient(err)
 	}
 
-	// Committed: the rotated WAL generations are dead.
+	// Committed: the rotated WAL generations are dead, and the captured
+	// rows are served from the blocks just written.
 	d.gen, d.gens = gen, gens
-	for i := range d.ckptRows {
-		d.ckptRows[i] += len(snap.shards[i].seqs)
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.Lock()
+		sh.adoptSegment(len(snap.shards[i].seqs), segBlocks[i], d.cache, s.cells.Symbol, s.mos.Symbol)
+		sh.mu.Unlock()
 	}
 	for k := range d.ckptDict {
 		d.ckptDict[k] = snap.dict.from[k] + len(snap.dict.syms[k])
@@ -618,10 +621,9 @@ type recovered struct {
 	dictFiles []walFile
 	rowFiles  [][]walFile
 	walBytes  int64
-	// What the next checkpoint keeps: the committed generations, and the
-	// leading slots per shard and symbols per dictionary they hold.
+	// What the next checkpoint keeps: the committed generations and the
+	// symbols per dictionary they hold.
 	gens     []uint64
-	ckptRows []int
 	ckptDict [3]int
 }
 
@@ -638,7 +640,7 @@ func recoverDir(fsys faultfs.FS, dir string, man *manifest, opts Options, replay
 	nShards := man.Shards
 	s := NewSharded(nShards)
 	gens := man.generations()
-	rec := &recovered{s: s, gens: gens, ckptRows: make([]int, nShards)}
+	rec := &recovered{s: s, gens: gens}
 
 	// 1. Dictionaries: each generation's file continues the previous one;
 	// the concatenation is each dictionary's committed image.
@@ -701,12 +703,8 @@ func recoverDir(fsys faultfs.FS, dir string, man *manifest, opts Options, replay
 	errs := make([]error, nShards)
 	parallel.ForEach(nShards, func(i int) {
 		maxSeqs[i], errs[i] = s.loadSegments(fsys, dir, i, gens, rec.cache)
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		rec.ckptRows[i] = len(sh.seqs)
-		sh.mu.RUnlock()
 	})
-	if err := errors.Join(errs...); err != nil {
+	if err := firstErr(errs); err != nil {
 		return nil, err
 	}
 
@@ -746,7 +744,7 @@ func recoverDir(fsys faultfs.FS, dir string, man *manifest, opts Options, replay
 		}
 		s.shards[i].insertRecovered(rows)
 	})
-	if err := errors.Join(errs...); err != nil {
+	if err := firstErr(errs); err != nil {
 		return nil, err
 	}
 	nextSeq := man.NextSeq
@@ -868,7 +866,6 @@ func Open(dir string, opts Options) (*Store, error) {
 		rows:     make([]rowLog, nShards),
 		gen:      man.Gen,
 		gens:     rec.gens,
-		ckptRows: rec.ckptRows,
 		ckptDict: rec.ckptDict,
 		walGen:   walGen,
 		staleWAL: stale,
@@ -916,6 +913,17 @@ func openReadOnly(fsys faultfs.FS, dir string, opts Options) (*Store, error) {
 	d.walLive.Store(rec.walBytes)
 	rec.s.dur = d
 	return rec.s, nil
+}
+
+// firstErr returns the first non-nil error in shard order: shards tend to
+// fail alike, and one report says what the rest would repeat.
+func firstErr(errs []error) error {
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // applyDictDelta replays one dict-delta record: kind byte, start id,

@@ -6,7 +6,9 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -268,58 +270,135 @@ func TestDurableAutoCompact(t *testing.T) {
 }
 
 // TestDurableConcurrentWritersAndCheckpoints hammers Put/PutBatch from
-// several goroutines while checkpoints run, then proves reopen sees every
-// trajectory exactly once. (The race detector covers the memory model; CI
-// runs this with -race across shard counts.)
+// several goroutines while checkpoints run — each commit swapping the
+// rows it wrote to blocks — and readers run CellDuring and
+// full-trajectory Select plans that materialize those blocks, then proves
+// the writer answers every plan like an in-memory model at quiescence,
+// holds no trajectory value after a quiescent checkpoint, and that reopen
+// sees every trajectory exactly once. (The race detector covers the memory
+// model; CI runs this with -race across shard counts.)
 func TestDurableConcurrentWritersAndCheckpoints(t *testing.T) {
-	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{Shards: shardCount()})
-	const writers = 4
-	const perWriter = 30
-	done := make(chan struct{})
-	for w := 0; w < writers; w++ {
-		go func(w int) {
-			defer func() { done <- struct{}{} }()
-			rng := rand.New(rand.NewSource(int64(w)))
-			for i := 0; i < perWriter; i++ {
-				tr := mkTraj(t, fmt.Sprintf("w%d-%d", w, i), "A", "B")
-				if rng.Intn(2) == 0 {
-					s.Put(tr)
-				} else {
-					s.PutBatch([]core.Trajectory{tr})
-				}
-			}
-		}(w)
+	const writers, readers, perWriter = 4, 2, 40
+	trajs := make([][]core.Trajectory, writers)
+	model := NewSharded(1)
+	for w := range trajs {
+		for i := 0; i < perWriter; i++ {
+			cells := [][]string{{"A", "B"}, {"B", "C", "A"}, {"C"}}[i%3]
+			trajs[w] = append(trajs[w], traj(t, fmt.Sprintf("w%d-%d", w, i), (w*perWriter+i)*7, cells...))
+		}
+		model.PutBatch(trajs[w])
 	}
-	for i := 0; i < 5; i++ {
+	plans := []Query{
+		CellDuring("A", at(0), at(400)),
+		CellDuring("C", at(500), at(900)),
+		Cell("B"),
+		And(Cell("C"), TimeOverlap(at(200), at(800))),
+		Through("A", "B"),
+	}
+	byMO := func(ts []core.Trajectory) string {
+		slices.SortFunc(ts, func(a, b core.Trajectory) int { return strings.Compare(a.MO, b.MO) })
+		return trajSig(ts)
+	}
+
+	withBlockRows(8, func() { // many blocks per segment: many to materialize
+		dir := t.TempDir()
+		s := mustOpen(t, dir, Options{Shards: shardCount()})
+		var writing, reading sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			writing.Add(1)
+			go func(w int) {
+				defer writing.Done()
+				rng := rand.New(rand.NewSource(int64(w)))
+				for _, tr := range trajs[w] {
+					if rng.Intn(2) == 0 {
+						s.Put(tr)
+					} else {
+						s.PutBatch([]core.Trajectory{tr})
+					}
+				}
+			}(w)
+		}
+		stop := make(chan struct{})
+		for r := 0; r < readers; r++ {
+			reading.Add(1)
+			go func(r int) {
+				defer reading.Done()
+				seen := make([]int, len(plans)) // the store only grows
+				for k := 0; ; k++ {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					p := (r + k) % len(plans)
+					got, err := s.Select(plans[p])
+					if err != nil {
+						t.Errorf("Select(%v): %v", plans[p], err)
+						return
+					}
+					for _, tr := range got {
+						if !strings.HasPrefix(tr.MO, "w") || len(tr.Trace) == 0 {
+							t.Errorf("Select(%v) returned a malformed trajectory %v", plans[p], tr)
+							return
+						}
+					}
+					if len(got) < seen[p] {
+						t.Errorf("Select(%v) shrank from %d to %d rows", plans[p], seen[p], len(got))
+						return
+					}
+					seen[p] = len(got)
+				}
+			}(r)
+		}
+		for i := 0; i < 5; i++ {
+			if err := s.Checkpoint(); err != nil {
+				t.Errorf("Checkpoint: %v", err)
+			}
+		}
+		writing.Wait()
 		if err := s.Checkpoint(); err != nil {
 			t.Errorf("Checkpoint: %v", err)
 		}
-	}
-	for w := 0; w < writers; w++ {
-		<-done
-	}
-	if err := s.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	want := s.Len()
-	mustClose(t, s)
+		close(stop)
+		reading.Wait()
 
-	s = mustOpen(t, dir, Options{})
-	defer mustClose(t, s)
-	if s.Len() != want {
-		t.Fatalf("reopen lost rows: %d vs %d", s.Len(), want)
-	}
-	seen := make(map[string]bool)
-	for _, tr := range s.All() {
-		if seen[tr.MO] {
-			t.Fatalf("trajectory %s recovered twice", tr.MO)
+		for i := range s.shards {
+			if n := len(s.shards[i].trajs); n != 0 {
+				t.Errorf("shard %d holds %d trajectory values after a quiescent checkpoint", i, n)
+			}
 		}
-		seen[tr.MO] = true
-	}
-	if len(seen) != writers*perWriter {
-		t.Fatalf("recovered %d distinct MOs, want %d", len(seen), writers*perWriter)
-	}
+		for _, q := range plans {
+			got, err := s.Select(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _ := model.Select(q)
+			if byMO(got) != byMO(want) {
+				t.Errorf("Select(%v) at quiescence diverged from the model", q)
+			}
+		}
+		if err := s.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		want := s.Len()
+		mustClose(t, s)
+
+		s = mustOpen(t, dir, Options{})
+		defer mustClose(t, s)
+		if s.Len() != want {
+			t.Fatalf("reopen lost rows: %d vs %d", s.Len(), want)
+		}
+		seen := make(map[string]bool)
+		for _, tr := range s.All() {
+			if seen[tr.MO] {
+				t.Fatalf("trajectory %s recovered twice", tr.MO)
+			}
+			seen[tr.MO] = true
+		}
+		if len(seen) != writers*perWriter {
+			t.Fatalf("recovered %d distinct MOs, want %d", len(seen), writers*perWriter)
+		}
+	})
 }
 
 // shardCount resolves the -shards test flag like newTestStore does.

@@ -2,12 +2,15 @@ package store
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
+	"syscall"
 	"testing"
 
 	"sitm/internal/core"
@@ -124,8 +127,12 @@ func TestCheckpointWritesOnlyTail(t *testing.T) {
 
 // TestCheckpointedInProcessEqualsColdReopen: a writer that checkpointed
 // three times (with a WAL tail after the last) and a cold reopen of its
-// directory hold the same rows in the same slots, and the reopen's
-// block-backed prefix is exactly what the writer committed.
+// directory hold the same rows in the same slots — and the same shards
+// block for block: every commit swaps the writer's checkpointed rows to
+// the blocks it wrote, so its block-backed prefix (row count, block bases,
+// zone maps, time scales, residual bytes) and its live tail (trajectory
+// values, live zones) equal what the cold open loads. Right after each
+// quiescent checkpoint the writer holds no trajectory value at all.
 func TestCheckpointedInProcessEqualsColdReopen(t *testing.T) {
 	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(43))
@@ -135,6 +142,14 @@ func TestCheckpointedInProcessEqualsColdReopen(t *testing.T) {
 		s.PutBatch(richCorpusTrajs(rng, 40))
 		if err := s.Checkpoint(); err != nil {
 			t.Fatal(err)
+		}
+		for i := range s.shards {
+			// cap, not len: a re-slice of the old column would keep every
+			// released trajectory reachable behind it.
+			if sh := &s.shards[i]; cap(sh.trajs) != 0 || int(sh.liveBase()) != len(sh.seqs) || len(sh.zones) != 0 {
+				t.Fatalf("checkpoint %d shard %d: room for %d trajectory values, %d live zones, %d of %d rows block-backed",
+					k+1, i, cap(sh.trajs), len(sh.zones), sh.liveBase(), len(sh.seqs))
+			}
 		}
 	}
 	s.PutBatch(richCorpusTrajs(rng, 10))
@@ -147,9 +162,6 @@ func TestCheckpointedInProcessEqualsColdReopen(t *testing.T) {
 			t.Fatalf("read-only=%v: cold reopen diverged from the writer", ro)
 		}
 		compareStores(t, s, cold, rng)
-		s.dur.ckptMu.Lock()
-		committed := slices.Clone(s.dur.ckptRows)
-		s.dur.ckptMu.Unlock()
 		for i := range s.shards {
 			w, c := &s.shards[i], &cold.shards[i]
 			w.mu.RLock()
@@ -157,13 +169,123 @@ func TestCheckpointedInProcessEqualsColdReopen(t *testing.T) {
 			if !slices.Equal(w.seqs, c.seqs) {
 				t.Errorf("read-only=%v shard %d: slot order differs", ro, i)
 			}
-			if c.blk == nil || c.blk.rowCount != committed[i] {
-				t.Errorf("read-only=%v shard %d: block-backed prefix does not match the %d committed rows", ro, i, committed[i])
+			if w.blk == nil || c.blk == nil {
+				t.Fatalf("read-only=%v shard %d: writer or cold open has no block-backed prefix", ro, i)
+			}
+			if w.blk.rowCount != c.blk.rowCount || len(w.blk.blocks) != len(c.blk.blocks) {
+				t.Errorf("read-only=%v shard %d: writer holds %d rows in %d blocks, cold open %d in %d",
+					ro, i, w.blk.rowCount, len(w.blk.blocks), c.blk.rowCount, len(c.blk.blocks))
+			}
+			for b := range min(len(w.blk.blocks), len(c.blk.blocks)) {
+				wb, cb := &w.blk.blocks[b], &c.blk.blocks[b]
+				if wb.base != cb.base || wb.zone != cb.zone || wb.tscale != cb.tscale || !bytes.Equal(wb.res, cb.res) {
+					t.Errorf("read-only=%v shard %d block %d: writer's block differs from the cold open's", ro, i, b)
+				}
+			}
+			if live := len(w.seqs) - w.blk.rowCount; len(w.trajs) != live || len(c.trajs) != live {
+				t.Errorf("read-only=%v shard %d: %d live rows, writer holds %d trajectory values, cold open %d",
+					ro, i, live, len(w.trajs), len(c.trajs))
+			}
+			if !slices.Equal(w.zones, c.zones) {
+				t.Errorf("read-only=%v shard %d: live zones differ", ro, i)
 			}
 			c.mu.RUnlock()
 			w.mu.RUnlock()
 		}
 		mustClose(t, cold)
+	}
+}
+
+// writerLayout is what a checkpoint's swap changes in one shard: the
+// block-backed prefix, the trajectory values and the live zones.
+type writerLayout struct {
+	liveBase, trajs, blocks int
+	zones                   []liveZone
+}
+
+func layoutOf(s *Store) []writerLayout {
+	out := make([]writerLayout, len(s.shards))
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.RLock()
+		out[i] = writerLayout{liveBase: int(sh.liveBase()), trajs: len(sh.trajs), zones: slices.Clone(sh.zones)}
+		if sh.blk != nil {
+			out[i].blocks = len(sh.blk.blocks)
+		}
+		sh.mu.RUnlock()
+	}
+	return out
+}
+
+// TestFailedCheckpointLeavesWriterUnchanged: a checkpoint that fails
+// before its commit — writing a segment, syncing one, or renaming the
+// MANIFEST — changes nothing in memory: every shard keeps its
+// block-backed prefix, trajectory values and live zones, and every query
+// answers as before. Retried without the fault, the checkpoint commits and
+// swaps every row to blocks, and a cold open holds the same store.
+func TestFailedCheckpointLeavesWriterUnchanged(t *testing.T) {
+	segTmp := segDirName + string(filepath.Separator) + ".tmp-"
+	for _, tc := range []struct {
+		name  string
+		fault faultfs.Fault
+	}{
+		// After: 1 lets the checkpoint's dictionary file through, so the
+		// fault hits a segment file.
+		{"segment-write", faultfs.Fault{Op: faultfs.OpWrite, Path: segTmp, After: 1, Times: 1, Err: syscall.ENOSPC}},
+		{"segment-fsync", faultfs.Fault{Op: faultfs.OpSync, Path: segTmp, After: 1, Times: 1, Err: syscall.EIO}},
+		{"manifest-rename", faultfs.Fault{Op: faultfs.OpRename, Path: manifestName, Times: 1, Err: syscall.EIO}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			rng := rand.New(rand.NewSource(61))
+			trajs := richCorpusTrajs(rng, 160)
+			ref := NewSharded(1)
+			ref.PutBatch(trajs)
+			fsys := faultfs.NewInjector(nil)
+			s := mustOpen(t, dir, Options{Shards: shardCount(), FS: fsys})
+			defer mustClose(t, s)
+			s.PutBatch(trajs[:80])
+			if err := s.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			s.PutBatch(trajs[80:])
+			before, want := layoutOf(s), storeJSON(t, s)
+
+			fsys.Add(tc.fault)
+			if err := s.Checkpoint(); !errors.Is(err, tc.fault.Err) {
+				t.Fatalf("checkpoint under the fault: err = %v, want %v", err, tc.fault.Err)
+			}
+			if n := fsys.Injected(); n != 1 {
+				t.Fatalf("%d faults injected, want 1", n)
+			}
+			if after := layoutOf(s); !reflect.DeepEqual(after, before) {
+				t.Fatalf("failed checkpoint changed the writer:\n%+v\nvs\n%+v", after, before)
+			}
+			if storeJSON(t, s) != want {
+				t.Fatal("failed checkpoint changed the store's contents")
+			}
+			compareStores(t, ref, s, rng)
+
+			fsys.Reset()
+			if err := s.Checkpoint(); err != nil {
+				t.Fatalf("retry: %v", err)
+			}
+			for i, l := range layoutOf(s) {
+				if l.trajs != 0 || len(l.zones) != 0 || l.liveBase != before[i].liveBase+before[i].trajs {
+					t.Fatalf("shard %d after the retry: %+v, want every one of its %d rows block-backed",
+						i, l, before[i].liveBase+before[i].trajs)
+				}
+			}
+			if storeJSON(t, s) != want {
+				t.Fatal("retried checkpoint changed the store's contents")
+			}
+			compareStores(t, ref, s, rng)
+			cold := mustOpen(t, copyTree(t, dir), Options{ReadOnly: true})
+			defer mustClose(t, cold)
+			if storeJSON(t, cold) != want {
+				t.Fatal("cold open after the retry diverged from the writer")
+			}
+		})
 	}
 }
 
@@ -219,7 +341,8 @@ func writeParentV2Dir(t *testing.T, dir string, trajs []core.Trajectory, shards 
 			seqs: sh.seqs, moIDs: sh.moIDs, encs: sh.encs, anns: sh.anns,
 			starts: sh.starts, ends: sh.ends, trajs: sh.trajs,
 		}
-		if err := commitFile(faultfs.OS, segPath(dir, 1, i), encodeSegmentV2(&cols)); err != nil {
+		seg, _ := encodeSegmentV2(&cols)
+		if err := commitFile(faultfs.OS, segPath(dir, 1, i), seg); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -52,8 +52,8 @@ type shard struct {
 	//sitm:guardedby mu
 	maxLen int // longest encoded trace (corpus scratch sizing)
 
-	// blk is the lazily materialized prefix recovered from the shard's
-	// segments (nil for in-memory stores and shards opened without one):
+	// blk is the lazily materialized prefix held by the shard's committed
+	// segments (nil for in-memory stores and shards with none):
 	// slots [0, blk.rowCount) are served by blk.traj through the block
 	// cache, and only the live slots after them have trajs entries. Its
 	// blocks' zone maps precede the live zones in the prune loop
@@ -134,19 +134,50 @@ func (sh *shard) growCell(cell int32) {
 //sitm:locked
 func (sh *shard) addSlot(seq uint64, t core.Trajectory, moID int32, enc, ann, regs []int32) {
 	slot := int32(len(sh.seqs))
-	if n := len(sh.zones); n == 0 || int(sh.zones[n-1].zone.rows) >= segBlockRows {
-		sh.zones = append(sh.zones, liveZone{base: slot})
-	}
-	st, en := saturatingNanos(t.Start()), saturatingNanos(t.End())
-	sh.zones[len(sh.zones)-1].zone.fold(seq, st, en, t.Trace, enc)
 	sh.seqs = append(sh.seqs, seq)
 	sh.trajs = append(sh.trajs, t)
 	sh.encs = append(sh.encs, enc)
 	sh.anns = append(sh.anns, ann)
 	sh.moIDs = append(sh.moIDs, moID)
-	sh.starts = append(sh.starts, st)
-	sh.ends = append(sh.ends, en)
+	sh.starts = append(sh.starts, saturatingNanos(t.Start()))
+	sh.ends = append(sh.ends, saturatingNanos(t.End()))
+	sh.foldZone(slot, t.Trace)
 	sh.indexSlot(slot, moID, enc, ann, regs)
+}
+
+// foldZone folds the live slot, whose columns are in place, into the
+// newest live zone, opening a fresh zone every segBlockRows slots.
+//
+//sitm:locked
+func (sh *shard) foldZone(slot int32, tr core.Trace) {
+	if n := len(sh.zones); n == 0 || int(sh.zones[n-1].zone.rows) >= segBlockRows {
+		sh.zones = append(sh.zones, liveZone{base: slot})
+	}
+	sh.zones[len(sh.zones)-1].zone.fold(sh.seqs[slot], sh.starts[slot], sh.ends[slot], tr, sh.encs[slot])
+}
+
+// adoptSegment swaps the shard's n oldest live slots for the blocks a
+// committed checkpoint wrote from them, leaving the shard as a cold open
+// would build it: the trajectory column keeps only the later rows, in a
+// fresh array (a re-slice would keep the released trajectories
+// reachable), and the live zones are refolded from the new liveBase. Slot
+// ids do not change. O(blocks + live rows).
+//
+//sitm:locked
+func (sh *shard) adoptSegment(n int, blocks []blockInfo, cache *BlockCache, cells, mos func(int32) string) {
+	if n == 0 {
+		return // the shard gained no row: its segment holds no block
+	}
+	want := int(sh.liveBase()) + n
+	sh.appendBlocks(blocks, cache, cells, mos)
+	if int(sh.liveBase()) != want {
+		panic("store: adopted blocks do not cover the checkpointed rows")
+	}
+	sh.trajs = append([]core.Trajectory(nil), sh.trajs[n:]...) // nil when empty
+	sh.zones = nil
+	for i, t := range sh.trajs {
+		sh.foldZone(int32(want+i), t.Trace)
+	}
 }
 
 // indexSlot adds one slot, whose columns are already in place, to the

@@ -402,7 +402,8 @@ func TestDecodeSegmentV2RejectsSaturatedSpans(t *testing.T) {
 		}
 		var sh shard
 		sh.init()
-		_, err := sh.decodeSegments([]segFile{{"t", encodeSegmentV2(&c)}}, 1, 1, 1, sym, sym, nil)
+		seg, _ := encodeSegmentV2(&c)
+		_, err := sh.decodeSegments([]segFile{{"t", seg}}, 1, 1, 1, sym, sym, nil)
 		if err == nil || !strings.Contains(err.Error(), "span time outside the storable range") {
 			t.Fatalf("span %v: err = %v", span, err)
 		}
