@@ -60,6 +60,7 @@ func runServe(ctx context.Context, args []string, out io.Writer) error {
 	maxTimeout := fs.Duration("max-timeout", 30*time.Second, "ceiling on client-requested deadlines")
 	drainTimeout := fs.Duration("drain-timeout", 15*time.Second, "in-flight budget during graceful shutdown")
 	planCache := fs.Int("plan-cache", 256, "compiled-plan cache entries (negative disables)")
+	blockCache := fs.Int64("block-cache", 0, "block cache bytes for checkpointed rows (0 = the 64 MiB default, negative caches nothing)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -67,7 +68,7 @@ func runServe(ctx context.Context, args []string, out io.Writer) error {
 		return errors.New("-store is required")
 	}
 
-	st, err := store.Open(*dir, store.Options{Shards: *shards, ReadOnly: *readOnly})
+	st, err := store.Open(*dir, store.Options{Shards: *shards, ReadOnly: *readOnly, BlockCacheBytes: *blockCache})
 	if err != nil {
 		return err
 	}

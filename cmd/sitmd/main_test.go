@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"context"
+	"encoding/json"
 	"io"
 	"net/http"
 	"os"
@@ -178,5 +179,62 @@ func TestDaemonLoadgen(t *testing.T) {
 		if err != nil || len(rows) == 0 {
 			t.Fatalf("acked key %q missing after drain: %v", k, err)
 		}
+	}
+}
+
+// TestDaemonBlockCacheFlag: -block-cache sizes the block cache that
+// serves checkpointed rows — 0 keeps the default, a negative budget
+// caches nothing, and a positive one bounds the bytes held.
+func TestDaemonBlockCacheFlag(t *testing.T) {
+	dir := t.TempDir()
+	url, drain := startDaemon(t, "-store", dir, "-shards", "1")
+	resp, err := http.Post(url+"/v1/ingest", "text/csv", strings.NewReader(daemonCSV))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if err := drain(); err != nil { // the drain checkpoints: the rows are block-backed
+		t.Fatal(err)
+	}
+
+	type cacheStats struct {
+		BlockCache *store.BlockCacheStats `json:"block_cache"`
+	}
+	served := func(args ...string) store.BlockCacheStats {
+		t.Helper()
+		url, drain := startDaemon(t, append([]string{"-store", dir, "-read-only"}, args...)...)
+		defer func() {
+			if err := drain(); err != nil {
+				t.Fatal(err)
+			}
+		}()
+		resp, err := http.Post(url+"/v1/query", "application/json", strings.NewReader(`{"query": {"cell": "hall"}}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != 200 || !strings.Contains(string(body), `"count":2`) {
+			t.Fatalf("query = %d %s", resp.StatusCode, body)
+		}
+		resp, err = http.Get(url + "/v1/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var st cacheStats
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil || st.BlockCache == nil {
+			t.Fatalf("stats: %v, block cache %v", err, st.BlockCache)
+		}
+		return *st.BlockCache
+	}
+	if got := served(); got.Entries != 1 || got.Misses != 1 {
+		t.Fatalf("default budget: %+v, want the block cached after one miss", got)
+	}
+	if got := served("-block-cache", "-1"); got.Entries != 0 || got.Misses != 1 {
+		t.Fatalf("-block-cache -1: %+v, want nothing cached", got)
+	}
+	if got := served("-block-cache", "64"); got.Entries != 0 || got.Bytes != 0 {
+		t.Fatalf("-block-cache 64: %+v, want a block larger than the budget left uncached", got)
 	}
 }

@@ -41,7 +41,7 @@ func referenceReply(cached bool, mos []string, trajs []core.Trajectory) ([]byte,
 // encodedReply is the reply as the server's encoder writes it.
 func encodedReply(cached bool, mos []string, trajs []core.Trajectory) ([]byte, error) {
 	var buf bytes.Buffer
-	_, err := writeQueryReply(&buf, cached, mos, trajs)
+	_, err := writeQueryReply(&buf, cached, mos, store.RowsOf(trajs))
 	return buf.Bytes(), err
 }
 
@@ -281,9 +281,10 @@ func TestQueryReplyAllocs(t *testing.T) {
 	e := replyPool.Get().(*replyEncoder)
 	defer replyPool.Put(e)
 	allocs := func(mos []string, trajs []core.Trajectory) float64 {
-		e.write(io.Discard, false, mos, trajs) // warm the buffer and the key scratch
+		rows := store.RowsOf(trajs)
+		e.write(io.Discard, false, mos, rows) // warm the buffer and the key scratch
 		return testing.AllocsPerRun(20, func() {
-			if _, err := e.write(io.Discard, false, mos, trajs); err != nil {
+			if _, err := e.write(io.Discard, false, mos, rows); err != nil {
 				t.Fatal(err)
 			}
 		})

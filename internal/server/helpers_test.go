@@ -1,11 +1,18 @@
 package server
 
 import (
+	"flag"
 	"testing"
 	"time"
 
 	"sitm/internal/core"
 )
+
+// shardFlag lets CI sweep the stress tests across shard counts, as in
+// internal/store:
+//
+//	go test -race -run TestRaceStress -shards 8 ./internal/server
+var shardFlag = flag.Int("shards", 0, "store shard count for stress tests (0 = default)")
 
 var serverTestDay = time.Date(2019, 5, 1, 9, 0, 0, 0, time.UTC)
 

@@ -224,17 +224,17 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) *apiError {
 	}
 
 	var mos []string
-	var trajs []core.Trajectory
+	var rows *store.Rows
 	if req.MOsOnly {
 		mos, err = s.st.SelectMOsCompiledCtx(r.Context(), cq)
 	} else {
-		trajs, err = s.st.SelectCompiledCtx(r.Context(), cq)
+		rows, err = s.st.SelectRowsCompiledCtx(r.Context(), cq)
 	}
 	if err != nil {
 		return selectionError(err)
 	}
 	w.Header().Set("Content-Type", "application/json")
-	flushed, err := writeQueryReply(w, cached, mos, trajs)
+	flushed, err := writeQueryReply(w, cached, mos, rows)
 	if err != nil {
 		if flushed {
 			// Part of the reply is on the wire: returning normally would

@@ -6,10 +6,13 @@ import (
 	"hash/crc32"
 	"math"
 	"slices"
+	"strings"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"sitm/internal/core"
+	"sitm/internal/symtab"
 )
 
 // Block-structured compressed segments, format "SITMSEG2" (DESIGN.md
@@ -779,7 +782,7 @@ type segFile struct {
 // final slot base (appendBlocks). Errors name the failing segment, block
 // and byte offset; a failed block fails the load, it never panics later.
 // Returns one past the highest seq loaded (0 when none).
-func (sh *shard) decodeSegments(files []segFile, cellLimit, moLimit, pairLimit int, cells, mos func(int32) string, cache *BlockCache) (uint64, error) {
+func (sh *shard) decodeSegments(files []segFile, cellLimit, moLimit, pairLimit int, cache *BlockCache) (uint64, error) {
 	hdrs := make([]*segHeader, len(files))
 	rows, nBlocks := 0, 0
 	for i, f := range files {
@@ -835,7 +838,7 @@ func (sh *shard) decodeSegments(files []segFile, cellLimit, moLimit, pairLimit i
 			return 0, fmt.Errorf("store: segment %s: %d trailing bytes", f.path, len(f.data)-pos)
 		}
 	}
-	sh.appendBlocks(infos, cache, cells, mos)
+	sh.appendBlocks(infos, cache)
 	return next, nil
 }
 
@@ -845,13 +848,13 @@ func (sh *shard) decodeSegments(files []segFile, cellLimit, moLimit, pairLimit i
 // both grow prefixes only here.
 //
 //sitm:locked
-func (sh *shard) appendBlocks(blocks []blockInfo, cache *BlockCache, cells, mos func(int32) string) {
+func (sh *shard) appendBlocks(blocks []blockInfo, cache *BlockCache) {
 	if len(blocks) == 0 {
 		return
 	}
 	bs := sh.blk
 	if bs == nil {
-		bs = &shardBlocks{cache: cache, segID: nextBlockSegID.Add(1), sh: sh, cellSym: cells, moSym: mos}
+		bs = &shardBlocks{cache: cache, segID: nextBlockSegID.Add(1), sh: sh}
 		sh.blk = bs
 	}
 	first := len(bs.blocks)
@@ -1104,14 +1107,14 @@ func (sh *shard) validateBlockResidual(res []byte, base, rows int, tscale int64)
 
 // ---- Lazy block state ----------------------------------------------------
 
-// shardBlocks is a shard's lazily materialized segment prefix: slots
+// shardBlocks is a shard's lazily decoded segment prefix: slots
 // [0, rowCount) are held by the shard's committed segments, one generation
 // after another, with their eager columns in the shard and their
-// trajectory column empty. traj materializes a slot's block through the
-// shared cache on demand. blocks and rowCount only grow (appendBlocks),
-// under the owning shard's write lock; every reader holds its read lock.
-// An appended block never changes, so a cached materialization stays
-// valid.
+// trajectory column empty. cols decodes a block's residual section into
+// flat columns through the shared cache on demand. blocks and rowCount
+// only grow (appendBlocks), under the owning shard's write lock; every
+// reader holds its read lock. An appended block never changes, so its
+// cached columns stay valid.
 type shardBlocks struct {
 	cache    *BlockCache
 	segID    uint64
@@ -1119,9 +1122,7 @@ type shardBlocks struct {
 	blocks   []blockInfo
 	// sh is the owning shard: its encs, moIDs and starts columns are the
 	// per-row decode inputs, and their block prefix never changes.
-	sh      *shard
-	cellSym func(int32) string
-	moSym   func(int32) string
+	sh *shard
 }
 
 // blockOf locates the block holding slot (binary search on block bases).
@@ -1141,93 +1142,138 @@ func (bs *shardBlocks) blockOf(slot int32) int {
 	return lo
 }
 
-// traj returns the trajectory at slot, materializing its block on a cache
-// miss. The cache-hit path is allocation-free.
+// cols returns the decoded columns of one block, consulting the shared
+// cache first. The cache-hit path is allocation-free.
 //
 //sitm:locked
-func (bs *shardBlocks) traj(slot int32) core.Trajectory {
-	b := bs.blockOf(slot)
-	return bs.materialize(b)[slot-bs.blocks[b].base]
-}
-
-// materialize returns the decoded trajectories of one block, consulting
-// the shared cache first.
-//
-//sitm:locked
-func (bs *shardBlocks) materialize(b int) []core.Trajectory {
+func (bs *shardBlocks) cols(b int) *blockCols {
 	key := blockKey{seg: bs.segID, block: int32(b)}
 	if bs.cache != nil {
-		if ts, ok := bs.cache.get(key); ok {
-			return ts
+		if bc, ok := bs.cache.get(key); ok {
+			return bc
 		}
 	}
-	ts, err := bs.decodeBlockTrajs(b)
+	bc, err := bs.decodeBlockCols(b)
 	if err != nil {
 		// Unreachable: the residual section was validated at open or
 		// encoded from these very columns, and the inputs are immutable.
 		panic(fmt.Errorf("store: segment block %d failed decode after validation: %w", b, err))
 	}
 	if bs.cache != nil {
-		bs.cache.put(key, ts, blockFootprint(&bs.blocks[b], len(ts)))
+		bs.cache.put(key, bc)
 	}
-	return ts
+	return bc
 }
 
-// blockFootprint estimates the in-memory bytes of a materialized block:
-// residual bytes inflate into strings, maps and Trace slices, plus fixed
-// per-row struct overhead.
-func blockFootprint(info *blockInfo, rows int) int64 {
-	return int64(len(info.res))*4 + int64(rows)*128
+// blockCols is one block's residual section decoded into flat, almost
+// pointer-free columns: what the block cache holds, what a reply is
+// encoded from, and what blockCols.traj materializes a row from. It is
+// immutable once built, so a reader holding the pointer keeps a coherent
+// block even after the cache evicts it.
+type blockCols struct {
+	// encs and moIDs are the shard's eager columns for the block's slots
+	// (sub-slices captured under the shard lock; a block's prefix of
+	// those columns never changes). They are not part of size.
+	encs  [][]int32
+	moIDs []int32
+	// strs is the block-local string dictionary: substrings of one copy
+	// of the residual's dictionary section.
+	strs []string
+	blob string
+	// Row r's presence intervals are ivs[ivOff[r]:ivOff[r+1]], parallel
+	// to encs[r]; rowAnn[r] is its trajectory annotation set.
+	ivOff  []int32
+	ivs    []colIv
+	rowAnn []int32
+	// Annotation set s holds keys[setOff[s]:setOff[s+1]], sorted by key
+	// string and distinct; noAnn stands for a nil map.
+	setOff []int32
+	keys   []colKey
+	vals   []int32 // value string ids, in each key's own order
+	// size is the exact footprint charged to the cache (footprint).
+	size int64
 }
 
-// allTrajs materializes every block in order, touching each block
-// exactly once.
+// colIv is one presence interval of a block row.
+type colIv struct {
+	start, end int64 // unix nanos, inside the int64 nanosecond range
+	trans      int32 // transition string id
+	ann, tann  int32 // annotation sets of the interval and its transition
+}
+
+// colKey is one annotation key: its string id and its values,
+// vals[v0:v1] (none: a nil value slice).
+type colKey struct{ str, v0, v1 int32 }
+
+// noAnn is the annotation set index of a nil map.
+const noAnn = -1
+
+// footprint is the exact byte size of the columns a blockCols owns: its
+// own struct, the backing arrays of its slices (by capacity) and the
+// dictionary's one string copy. encs and moIDs belong to the shard.
+func (bc *blockCols) footprint() int64 {
+	n := int64(unsafe.Sizeof(*bc)) + int64(len(bc.blob))
+	n += int64(cap(bc.strs)) * int64(unsafe.Sizeof(""))
+	n += int64(cap(bc.ivs)) * int64(unsafe.Sizeof(colIv{}))
+	n += int64(cap(bc.keys)) * int64(unsafe.Sizeof(colKey{}))
+	n += int64(cap(bc.ivOff)+cap(bc.rowAnn)+cap(bc.setOff)+cap(bc.vals)) * 4
+	return n
+}
+
+// decodeBlockCols decodes one block's residual section into columns (the
+// mirror of encodeBlock's residual pass). Row times come back as unix
+// nanos and names stay ids: no time.Time, map or dictionary lookup is
+// built here. Callers hold the owning shard's lock.
 //
 //sitm:locked
-func (bs *shardBlocks) allTrajs() []core.Trajectory {
-	out := make([]core.Trajectory, 0, bs.rowCount)
-	for b := range bs.blocks {
-		out = append(out, bs.materialize(b)...)
-	}
-	return out
-}
-
-// decodeBlockTrajs decodes one block's residual section into trajectories
-// (the mirror of encodeBlock's residual pass, resolving block-local string
-// ids and interned cell/MO ids). Callers hold the owning shard's lock.
-//
-//sitm:locked
-func (bs *shardBlocks) decodeBlockTrajs(b int) ([]core.Trajectory, error) {
+func (bs *shardBlocks) decodeBlockCols(b int) (*blockCols, error) {
 	info := &bs.blocks[b]
+	base, rows := int(info.base), int(info.zone.rows)
+	sh := bs.sh
+	bc := &blockCols{
+		encs:  sh.encs[base : base+rows : base+rows],
+		moIDs: sh.moIDs[base : base+rows : base+rows],
+	}
 	d := &rowDecoder{b: info.res}
 	nStr := d.count(1)
-	dict := make([]string, nStr)
-	for i := range dict {
-		dict[i] = d.str()
+	sec := d.b
+	for i := 0; i < nStr && d.err == nil; i++ {
+		d.skipStr()
 	}
-	rows := int(info.zone.rows)
-	ts := make([]core.Trajectory, rows)
+	if d.err != nil {
+		return nil, d.err
+	}
+	bc.blob = string(sec[:len(sec)-len(d.b)])
+	bc.strs = make([]string, nStr)
+	for i, p := 0, 0; i < nStr; i++ {
+		n, w := binary.Uvarint(sec[p:])
+		p += w
+		bc.strs[i] = bc.blob[p : p+int(n)]
+		p += int(n)
+	}
+	nIv := 0
+	for _, enc := range bc.encs {
+		nIv += len(enc)
+	}
+	bc.ivOff = make([]int32, rows+1)
+	bc.ivs = make([]colIv, nIv)
+	bc.rowAnn = make([]int32, rows)
+	bc.setOff = make([]int32, 1, rows+1)
+	k := 0
 	for r := 0; r < rows && d.err == nil; r++ {
-		slot := int(info.base) + r
-		enc := bs.sh.encs[slot]
-		t := core.Trajectory{MO: bs.moSym(bs.sh.moIDs[slot]), Ann: d.localAnnotations(dict)}
-		if len(enc) > 0 {
-			t.Trace = make(core.Trace, len(enc))
+		bc.rowAnn[r] = d.annSet(bc)
+		prevT := sh.starts[base+r]
+		for range bc.encs[r] {
+			iv := &bc.ivs[k]
+			iv.trans = int32(d.localID(nStr))
+			iv.start = prevT + d.varint()*info.tscale
+			iv.end = iv.start + d.varint()*info.tscale
+			prevT = iv.end
+			iv.ann = d.annSet(bc)
+			iv.tann = d.annSet(bc)
+			k++
 		}
-		prevT := bs.sh.starts[slot]
-		for i, cellID := range enc {
-			p := &t.Trace[i]
-			p.Cell = bs.cellSym(cellID)
-			p.Transition = d.localStr(dict)
-			st := prevT + d.varint()*info.tscale
-			en := st + d.varint()*info.tscale
-			p.Start = time.Unix(0, st).UTC()
-			p.End = time.Unix(0, en).UTC()
-			prevT = en
-			p.Ann = d.localAnnotations(dict)
-			p.TransitionAnn = d.localAnnotations(dict)
-		}
-		ts[r] = t
+		bc.ivOff[r+1] = int32(k)
 	}
 	if d.err != nil {
 		return nil, d.err
@@ -1235,7 +1281,114 @@ func (bs *shardBlocks) decodeBlockTrajs(b int) ([]core.Trajectory, error) {
 	if len(d.b) != 0 {
 		return nil, fmt.Errorf("store: corrupt record: %d trailing residual bytes", len(d.b))
 	}
-	return ts, nil
+	bc.size = bc.footprint()
+	return bc, nil
+}
+
+// annSet decodes one annotation map encoded by appendLocalAnnotations into
+// bc's set columns and returns its set index (noAnn for a nil map). The
+// keys end up sorted by string and distinct, a repeated key keeping its
+// last values — the map a decoder would build from them.
+func (d *rowDecoder) annSet(bc *blockCols) int32 {
+	flag := d.count(1)
+	if d.err != nil || flag == 0 {
+		return noAnn
+	}
+	k0 := len(bc.keys)
+	for i := 0; i < flag-1 && d.err == nil; i++ {
+		key := colKey{str: int32(d.localID(len(bc.strs)))}
+		nVals := d.count(1)
+		key.v0 = int32(len(bc.vals))
+		for j := 0; j < nVals && d.err == nil; j++ {
+			bc.vals = append(bc.vals, int32(d.localID(len(bc.strs))))
+		}
+		key.v1 = int32(len(bc.vals))
+		bc.keys = append(bc.keys, key)
+	}
+	if d.err != nil {
+		return noAnn
+	}
+	keys := bc.keys[k0:]
+	cmp := func(a, b colKey) int { return strings.Compare(bc.strs[a.str], bc.strs[b.str]) }
+	for i := 1; i < len(keys); i++ {
+		if cmp(keys[i-1], keys[i]) < 0 {
+			continue
+		}
+		// Only a hand-made segment gets here: the encoder writes a map's
+		// keys sorted and distinct.
+		slices.SortStableFunc(keys, cmp)
+		out := keys[:0]
+		for j, key := range keys {
+			if j+1 < len(keys) && cmp(key, keys[j+1]) == 0 {
+				continue // a later value of the same key wins
+			}
+			out = append(out, key)
+		}
+		bc.keys = bc.keys[:k0+len(out)]
+		break
+	}
+	bc.setOff = append(bc.setOff, int32(len(bc.keys)))
+	return int32(len(bc.setOff) - 2)
+}
+
+// traj materializes row r: the one way a block-backed row becomes a
+// core.Trajectory, its names resolved through the dictionary snapshots.
+func (bc *blockCols) traj(r int, cells, mos *symtab.Dict) core.Trajectory {
+	t := core.Trajectory{MO: mos.Symbol(bc.moIDs[r]), Ann: bc.annotations(bc.rowAnn[r])}
+	enc := bc.encs[r]
+	if len(enc) == 0 {
+		return t
+	}
+	ivs := bc.ivs[bc.ivOff[r]:bc.ivOff[r+1]]
+	t.Trace = make(core.Trace, len(enc))
+	for j, id := range enc {
+		iv := &ivs[j]
+		t.Trace[j] = core.PresenceInterval{
+			Transition:    bc.strs[iv.trans],
+			Cell:          cells.Symbol(id),
+			Start:         time.Unix(0, iv.start).UTC(),
+			End:           time.Unix(0, iv.end).UTC(),
+			Ann:           bc.annotations(iv.ann),
+			TransitionAnn: bc.annotations(iv.tann),
+		}
+	}
+	return t
+}
+
+// annotations builds annotation set s as a map (nil for noAnn).
+func (bc *blockCols) annotations(s int32) core.Annotations {
+	if s == noAnn {
+		return nil
+	}
+	keys := bc.keys[bc.setOff[s]:bc.setOff[s+1]]
+	a := make(core.Annotations, len(keys))
+	for _, k := range keys {
+		var vs []string
+		if k.v1 > k.v0 {
+			vs = make([]string, k.v1-k.v0)
+			for i, id := range bc.vals[k.v0:k.v1] {
+				vs[i] = bc.strs[id]
+			}
+		}
+		a[bc.strs[k.str]] = vs
+	}
+	return a
+}
+
+// cellDuring reports whether row r has a presence interval at cell id
+// intersecting [fromN, toN]. A block's times lie inside the int64
+// nanosecond range, so comparing nanos against the saturated window edges
+// is exact.
+//
+//sitm:hotpath
+func (bc *blockCols) cellDuring(r int, id int32, fromN, toN int64) bool {
+	ivs := bc.ivs[bc.ivOff[r]:bc.ivOff[r+1]]
+	for j, cell := range bc.encs[r] {
+		if cell == id && ivs[j].end >= fromN && ivs[j].start <= toN {
+			return true
+		}
+	}
+	return false
 }
 
 // ---- Zone-map pruning (plan executor) -----------------------------------
@@ -1261,17 +1414,18 @@ func (sh *shard) zone(i int) (int32, *zoneMap) {
 // contributes every slot to kTime; any other zone is tested slot by slot
 // — kCellDuring takes candidates from the exact cell posting list and
 // checks a slot's span columns before walking its trace, so a checkpointed
-// block materializes only when one of its candidates can match. Zones are
+// block's columns are decoded only when one of its candidates can match. Zones are
 // in slot order, so the result is ascending with no sort. Window edges
 // saturate to the int64 nanosecond range (cplan.fromN, toN); per-slot
-// span tests compare nanos and stay exact (see shard.spanOverlaps), trace
-// tests compare the exact times. Store.noPrune turns every zone into a
+// span tests compare nanos and stay exact (see shard.spanOverlaps), and so
+// do a block row's interval tests (blockCols.cellDuring); a live row's
+// compare its exact times. Store.noPrune turns every zone into a
 // slot-by-slot zone (the property-test oracle).
 //
 //sitm:locked
 func (c *cplan) zoneSlots(ctx *execCtx) []int32 {
 	sh := ctx.sh
-	from, to, fromN, toN := c.from, c.to, c.fromN, c.toN
+	fromN, toN := c.fromN, c.toN
 	prune := !ctx.s.noPrune
 	cellQ := c.kind == kCellDuring
 	var post []int32 // kCellDuring: the cell's remaining candidates
@@ -1325,27 +1479,37 @@ func (c *cplan) zoneSlots(ctx *execCtx) []int32 {
 			continue
 		}
 		ctx.scannedZones++
-		var block []core.Trajectory // materialized on first need
+		var bc *blockCols // decoded on first need
 		for _, s := range cand {
 			if !z.unbounded && (sh.ends[s] < fromN || sh.starts[s] > toN) {
 				continue
 			}
-			var tr core.Trace
+			var hit bool
 			if i < nBlocks {
-				if block == nil {
-					block = sh.blk.materialize(i)
+				if bc == nil {
+					bc = sh.blk.cols(i)
 				}
-				tr = block[s-base].Trace
+				hit = bc.cellDuring(int(s-base), c.id, fromN, toN)
 			} else {
-				tr = sh.trajs[s-live].Trace
+				hit = liveCellDuring(&sh.trajs[s-live], sh.encs[s], c)
 			}
-			for j, id := range sh.encs[s] {
-				if id == c.id && !tr[j].End.Before(from) && !tr[j].Start.After(to) {
-					slots = append(slots, s)
-					break
-				}
+			if hit {
+				slots = append(slots, s)
 			}
 		}
 	}
 	return slots
+}
+
+// liveCellDuring reports whether the live trajectory t, whose interned
+// cells are enc, has a presence interval at c's cell intersecting c's
+// window, comparing the exact times (a live row of an in-memory store may
+// lie outside the int64 nanosecond range).
+func liveCellDuring(t *core.Trajectory, enc []int32, c *cplan) bool {
+	for j, id := range enc {
+		if id == c.id && !t.Trace[j].End.Before(c.from) && !t.Trace[j].Start.After(c.to) {
+			return true
+		}
+	}
+	return false
 }

@@ -2,10 +2,11 @@ package store
 
 // FuzzDecodeBlock drives arbitrary bytes through the full v2 segment
 // decode — header, zone maps, per-block CRCs, eager columns, residual
-// validation — and then materializes every block that survives. The
+// validation — and then decodes every block that survives into columns
+// (decodeBlockCols) and materializes each row (blockCols.traj). The
 // invariant under fuzz is the one the engine relies on at runtime: decode
 // may reject, but it must never panic, and a segment that validates must
-// materialize (materialize panics on a decode error, so a validation gap
+// decode (shardBlocks.cols panics on a decode error, so a validation gap
 // shows up as a fuzz crash). The checked-in corpus under
 // testdata/fuzz/FuzzDecodeBlock seeds the interesting shapes: a fully
 // valid multi-block segment, a torn final block, a flipped payload byte
@@ -14,6 +15,8 @@ package store
 import (
 	"fmt"
 	"testing"
+
+	"sitm/internal/symtab"
 )
 
 // fuzzDecodeLimits are the dictionary sizes FuzzDecodeBlock decodes
@@ -24,18 +27,29 @@ const fuzzDecodeLimits = 8
 func FuzzDecodeBlock(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte(segMagicV2))
+	dict := symtab.NewDict()
+	for i := range fuzzDecodeLimits {
+		dict.Intern(fmt.Sprintf("s%d", i))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		sym := func(id int32) string { return fmt.Sprintf("s%d", id) }
 		var sh shard
 		sh.init()
-		_, err := sh.decodeSegments([]segFile{{"fuzz", data}}, fuzzDecodeLimits, fuzzDecodeLimits, fuzzDecodeLimits, sym, sym, nil)
-		if err != nil {
+		_, err := sh.decodeSegments([]segFile{{"fuzz", data}}, fuzzDecodeLimits, fuzzDecodeLimits, fuzzDecodeLimits, nil)
+		if err != nil || sh.blk == nil {
 			return
 		}
-		if sh.blk != nil {
-			if got := len(sh.blk.allTrajs()); got != sh.blk.rowCount || got != len(sh.seqs) {
-				t.Fatalf("materialized %d rows of %d (%d decoded)", got, sh.blk.rowCount, len(sh.seqs))
+		rows := 0
+		for b, info := range sh.blk.blocks {
+			bc := sh.blk.cols(b)
+			for r := range int(info.zone.rows) {
+				if tr := bc.traj(r, dict, dict); len(tr.Trace) != len(sh.encs[int(info.base)+r]) {
+					t.Fatalf("block %d row %d: %d intervals, %d cells", b, r, len(tr.Trace), len(sh.encs[int(info.base)+r]))
+				}
+				rows++
 			}
+		}
+		if rows != sh.blk.rowCount || rows != len(sh.seqs) {
+			t.Fatalf("materialized %d rows of %d (%d decoded)", rows, sh.blk.rowCount, len(sh.seqs))
 		}
 	})
 }

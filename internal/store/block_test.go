@@ -18,6 +18,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"sitm/internal/core"
 )
@@ -236,9 +237,9 @@ func TestZoneMapPruneEquivalence(t *testing.T) {
 	}
 }
 
-// TestBlockCacheHitPathAllocs pins the ISSUE's AllocsPerRun guard: after
-// a block is materialized once, serving a trajectory from it performs
-// zero allocations.
+// TestBlockCacheHitPathAllocs pins the AllocsPerRun guard: after a block
+// is decoded once, serving its columns from the cache performs zero
+// allocations.
 func TestBlockCacheHitPathAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	dir := blockTestDir(t, richCorpusTrajs(rng, 100), 1, 16)
@@ -248,9 +249,52 @@ func TestBlockCacheHitPathAllocs(t *testing.T) {
 	if bs == nil {
 		t.Fatal("recovered shard holds no lazy block state")
 	}
-	bs.traj(0) // warm the block
-	if n := testing.AllocsPerRun(100, func() { bs.traj(0) }); n != 0 {
+	bs.cols(0) // warm the block
+	if n := testing.AllocsPerRun(100, func() { bs.cols(0) }); n != 0 {
 		t.Fatalf("block-cache hit path allocates %v times per op, want 0", n)
+	}
+}
+
+// TestBlockCacheBytesAreExactFootprints: the cache charges each block the
+// exact footprint of its decoded columns, so its Bytes is the sum, counted
+// here field by field, of what the cached columns hold — and a block's
+// string copy holds its dictionary and nothing else.
+func TestBlockCacheBytesAreExactFootprints(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	dir := blockTestDir(t, richCorpusTrajs(rng, 300), 2, 16)
+	s := mustOpen(t, dir, Options{ReadOnly: true})
+	defer mustClose(t, s)
+	s.All()
+	c := s.dur.cache
+	var counted int64
+	entries := 0
+	for i := range c.shards {
+		cs := &c.shards[i]
+		cs.mu.Lock()
+		for _, e := range cs.ring {
+			bc := e.cols
+			n := int64(unsafe.Sizeof(blockCols{})) + int64(len(bc.blob))
+			n += int64(cap(bc.strs)) * int64(unsafe.Sizeof(""))
+			n += int64(cap(bc.ivs)) * int64(unsafe.Sizeof(colIv{}))
+			n += int64(cap(bc.keys)) * int64(unsafe.Sizeof(colKey{}))
+			for _, col := range [][]int32{bc.ivOff, bc.rowAnn, bc.setOff, bc.vals} {
+				n += int64(cap(col)) * int64(unsafe.Sizeof(int32(0)))
+			}
+			dict := 0
+			for _, str := range bc.strs {
+				dict += len(binary.AppendUvarint(nil, uint64(len(str)))) + len(str)
+			}
+			if dict != len(bc.blob) {
+				t.Fatalf("block %v: string copy of %d bytes for a %d-byte dictionary", e.key, len(bc.blob), dict)
+			}
+			counted += n
+			entries++
+		}
+		cs.mu.Unlock()
+	}
+	st := c.Stats()
+	if entries == 0 || st.Entries != entries || st.Bytes != counted {
+		t.Fatalf("cache holds %d entries, %d bytes; counted %d entries, %d bytes", st.Entries, st.Bytes, entries, counted)
 	}
 }
 
@@ -332,4 +376,30 @@ func TestV1SegmentRejected(t *testing.T) {
 	_, err = Open(dir, Options{})
 	check("writable Open", err)
 	check("InspectDir", InspectDir(dir, io.Discard))
+}
+
+// TestAnnSetSortsAndDedupsKeys: an annotation map whose keys a segment
+// lists out of order or twice (only a hand-made segment can) decodes to
+// the set a map built from them holds — keys sorted, the last values of a
+// repeated key kept — so the materialized map and the reply encoder agree.
+func TestAnnSetSortsAndDedupsKeys(t *testing.T) {
+	bc := &blockCols{strs: []string{"b", "a", "x", "y", "z"}, setOff: []int32{0}}
+	var enc []byte
+	for _, v := range []uint64{1 + 3, 0, 1, 2, 1, 1, 3, 0, 1, 4} { // b:[x] a:[y] b:[z]
+		enc = binary.AppendUvarint(enc, v)
+	}
+	d := &rowDecoder{b: enc}
+	set := d.annSet(bc)
+	if d.err != nil || len(d.b) != 0 {
+		t.Fatalf("decode: %v, %d bytes left", d.err, len(d.b))
+	}
+	got := bc.annotations(set)
+	want := core.Annotations{"a": {"y"}, "b": {"z"}}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("annotations = %v, want %v", got, want)
+	}
+	keys := bc.keys[bc.setOff[set]:bc.setOff[set+1]]
+	if len(keys) != 2 || bc.strs[keys[0].str] != "a" || bc.strs[keys[1].str] != "b" {
+		t.Fatalf("set keys %v, want a then b", keys)
+	}
 }

@@ -1,16 +1,13 @@
 package store
 
-import (
-	"sync"
+import "sync"
 
-	"sitm/internal/core"
-)
-
-// BlockCache is the bounded, sharded cache holding materialized residual
-// blocks of block-structured segments (DESIGN.md §3.12). Cold Open decodes
-// only the cheap eager columns of a v2 segment; the string-heavy residual
-// of each block — transitions, per-point times, annotation maps — decodes
-// on first touch and parks here. Eviction is CLOCK (second chance): a hit
+// BlockCache is the bounded, sharded cache holding the decoded residual
+// columns of segment blocks (DESIGN.md §3.12). Cold Open decodes only the
+// cheap eager columns of a v2 segment; the string-heavy residual of each
+// block — transitions, per-point times, annotations — decodes on first
+// touch into flat columns (blockCols) and parks here, charged its exact
+// footprint. Eviction is CLOCK (second chance): a hit
 // sets the entry's reference bit, the eviction hand clears bits until it
 // finds an unreferenced victim, so repeatedly-touched blocks survive scans.
 //
@@ -31,20 +28,19 @@ const blockCacheShards = 8
 // Options.BlockCacheBytes is zero and no shared cache is supplied.
 const DefaultBlockCacheBytes int64 = 64 << 20
 
-// blockKey addresses one materialized block: the process-unique segment id
+// blockKey addresses one decoded block: the process-unique segment id
 // plus the block's index within its segment.
 type blockKey struct {
 	seg   uint64
 	block int32
 }
 
-// blockEntry is one cached block: the decoded trajectories, the byte
-// estimate charged against the budget, and the CLOCK reference bit.
+// blockEntry is one cached block: its decoded columns (charged their
+// footprint, cols.size) and the CLOCK reference bit.
 type blockEntry struct {
-	key   blockKey
-	trajs []core.Trajectory
-	size  int64
-	ref   bool
+	key  blockKey
+	cols *blockCols
+	ref  bool
 }
 
 type blockCacheShard struct {
@@ -92,20 +88,20 @@ func (c *BlockCache) shardOf(key blockKey) *blockCacheShard {
 	return &c.shards[h%blockCacheShards]
 }
 
-// get returns the cached trajectories of a block, marking it recently
-// used. The hit path is allocation-free (guarded by AllocsPerRun in the
-// block tests).
+// get returns the cached columns of a block, marking it recently used.
+// The hit path is allocation-free (guarded by AllocsPerRun in the block
+// tests).
 //
 //sitm:hotpath
-func (c *BlockCache) get(key blockKey) ([]core.Trajectory, bool) {
+func (c *BlockCache) get(key blockKey) (*blockCols, bool) {
 	s := c.shardOf(key)
 	s.mu.Lock()
 	if i, ok := s.entries[key]; ok {
 		s.ring[i].ref = true
-		ts := s.ring[i].trajs
+		bc := s.ring[i].cols
 		s.hits++
 		s.mu.Unlock()
-		return ts, true
+		return bc, true
 	}
 	s.misses++
 	s.mu.Unlock()
@@ -115,7 +111,8 @@ func (c *BlockCache) get(key blockKey) ([]core.Trajectory, bool) {
 // put inserts a freshly decoded block, evicting CLOCK victims until it
 // fits. A block larger than a whole shard budget is served uncached. A
 // racing insert of the same key keeps the first copy.
-func (c *BlockCache) put(key blockKey, trajs []core.Trajectory, size int64) {
+func (c *BlockCache) put(key blockKey, bc *blockCols) {
+	size := bc.size
 	if size > c.capPerShard {
 		return
 	}
@@ -138,7 +135,7 @@ func (c *BlockCache) put(key blockKey, trajs []core.Trajectory, size int64) {
 		s.remove(s.hand)
 	}
 	s.entries[key] = len(s.ring)
-	s.ring = append(s.ring, blockEntry{key: key, trajs: trajs, size: size})
+	s.ring = append(s.ring, blockEntry{key: key, cols: bc})
 	s.bytes += size
 }
 
@@ -149,7 +146,7 @@ func (c *BlockCache) put(key blockKey, trajs []core.Trajectory, size int64) {
 func (s *blockCacheShard) remove(i int) {
 	e := &s.ring[i]
 	delete(s.entries, e.key)
-	s.bytes -= e.size
+	s.bytes -= e.cols.size
 	s.evictions++
 	last := len(s.ring) - 1
 	if i != last {
@@ -164,7 +161,7 @@ func (s *blockCacheShard) remove(i int) {
 // its internal shards.
 type BlockCacheStats struct {
 	Entries   int   // cached blocks
-	Bytes     int64 // estimated bytes held
+	Bytes     int64 // bytes held: the summed footprints of the cached columns
 	Hits      int64
 	Misses    int64
 	Evictions int64

@@ -93,7 +93,7 @@ func (s *Store) SelectCtx(ctx context.Context, q Query) ([]core.Trajectory, erro
 	if err != nil {
 		return nil, err
 	}
-	return s.selectPlan(ctx, plan)
+	return s.selectTrajs(ctx, plan)
 }
 
 // SelectCompiledCtx executes a pre-compiled plan, recompiling
@@ -103,7 +103,7 @@ func (s *Store) SelectCompiledCtx(ctx context.Context, cq *CompiledQuery) ([]cor
 	if err != nil {
 		return nil, err
 	}
-	return s.selectPlan(ctx, plan)
+	return s.selectTrajs(ctx, plan)
 }
 
 // SelectMOsCtx is SelectMOs with cooperative cancellation.
@@ -124,16 +124,40 @@ func (s *Store) SelectMOsCompiledCtx(ctx context.Context, cq *CompiledQuery) ([]
 	return s.selectMOsPlan(ctx, plan)
 }
 
-// selectPlan is the one trajectory executor of every Select entry point:
-// gather runs the plan per shard under the shard read lock and merges the
-// matches by insertion sequence.
-func (s *Store) selectPlan(ctx context.Context, plan *cplan) ([]core.Trajectory, error) {
+// SelectRowsCompiledCtx executes a pre-compiled plan like
+// SelectCompiledCtx but materializes nothing: the result holds a reference
+// to each matching row — its block's decoded columns or its live
+// trajectory — plus frozen dictionary snapshots to name them by. A reply
+// encoder reads block rows straight from the columns (see Rows).
+func (s *Store) SelectRowsCompiledCtx(ctx context.Context, cq *CompiledQuery) (*Rows, error) {
+	plan, err := cq.freshPlan(s)
+	if err != nil {
+		return nil, err
+	}
+	refs, err := s.selectPlan(ctx, plan)
+	if err != nil {
+		return nil, err
+	}
+	return s.rows(refs), nil
+}
+
+// selectPlan is the one row executor of every Select entry point: gather
+// runs the plan per shard under the shard read lock and merges the
+// matches' row references by insertion sequence.
+func (s *Store) selectPlan(ctx context.Context, plan *cplan) ([]rowRef, error) {
 	return s.gather(ctx, func(sh *shard, out *shardRows) { //sitm:locked
 		ectx := execCtx{s: s, sh: sh}
-		for _, slot := range plan.exec(&ectx) {
-			out.add(sh.seqs[slot], sh.trajAt(slot))
-		}
+		sh.addRows(out, plan.exec(&ectx))
 	})
+}
+
+// selectTrajs runs selectPlan and materializes its rows.
+func (s *Store) selectTrajs(ctx context.Context, plan *cplan) ([]core.Trajectory, error) {
+	refs, err := s.selectPlan(ctx, plan)
+	if err != nil {
+		return nil, err
+	}
+	return s.materialize(refs), nil
 }
 
 // selectMOsPlan is the one moving-object executor of every SelectMOs

@@ -443,7 +443,7 @@ func (s *Store) Checkpoint() error {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		sh.adoptSegment(len(snap.shards[i].seqs), segBlocks[i], d.cache, s.cells.Symbol, s.mos.Symbol)
+		sh.adoptSegment(len(snap.shards[i].seqs), segBlocks[i], d.cache)
 		sh.mu.Unlock()
 	}
 	for k := range d.ckptDict {
@@ -589,8 +589,7 @@ func (s *Store) loadSegments(fsys faultfs.FS, dir string, shard int, gens []uint
 		files = append(files, segFile{path, data})
 	}
 	return s.shards[shard].decodeSegments(files,
-		s.cells.Len(), s.mos.Len(), s.pairs.Len(),
-		s.cells.Symbol, s.mos.Symbol, cache)
+		s.cells.Len(), s.mos.Len(), s.pairs.Len(), cache)
 }
 
 // BlockCacheStats returns the residual-block cache counters of a durable

@@ -31,8 +31,7 @@ func segRows(t *testing.T, path string) int {
 	}
 	var sh shard
 	sh.init()
-	if _, err := sh.decodeSegments([]segFile{{path, data}}, 1<<30, 1<<30, 1<<30,
-		func(int32) string { return "" }, func(int32) string { return "" }, nil); err != nil {
+	if _, err := sh.decodeSegments([]segFile{{path, data}}, 1<<30, 1<<30, 1<<30, nil); err != nil {
 		t.Fatal(err)
 	}
 	return len(sh.seqs)

@@ -513,13 +513,7 @@ func (c *cplan) test(ctx *execCtx, slot int32) bool {
 	case kTime:
 		return sh.spanOverlaps(slot, c)
 	case kCellDuring:
-		tr := sh.trajAt(slot).Trace
-		for i, id := range sh.encs[slot] {
-			if id == c.id && !tr[i].End.Before(c.from) && !tr[i].Start.After(c.to) {
-				return true
-			}
-		}
-		return false
+		return sh.cellDuring(slot, c)
 	case kThrough:
 		ctx.dedup = dedupInto(ctx.dedup[:0], sh.encs[slot])
 		return containsRun(ctx.dedup, c.run)

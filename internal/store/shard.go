@@ -52,10 +52,11 @@ type shard struct {
 	//sitm:guardedby mu
 	maxLen int // longest encoded trace (corpus scratch sizing)
 
-	// blk is the lazily materialized prefix held by the shard's committed
+	// blk is the lazily decoded prefix held by the shard's committed
 	// segments (nil for in-memory stores and shards with none):
-	// slots [0, blk.rowCount) are served by blk.traj through the block
-	// cache, and only the live slots after them have trajs entries. Its
+	// slots [0, blk.rowCount) are served by their blocks' columns through
+	// the block cache, and only the live slots after them have trajs
+	// entries. Its
 	// blocks' zone maps precede the live zones in the prune loop
 	// (zoneSlots).
 	//sitm:guardedby mu
@@ -164,12 +165,12 @@ func (sh *shard) foldZone(slot int32, tr core.Trace) {
 // ids do not change. O(blocks + live rows).
 //
 //sitm:locked
-func (sh *shard) adoptSegment(n int, blocks []blockInfo, cache *BlockCache, cells, mos func(int32) string) {
+func (sh *shard) adoptSegment(n int, blocks []blockInfo, cache *BlockCache) {
 	if n == 0 {
 		return // the shard gained no row: its segment holds no block
 	}
 	want := int(sh.liveBase()) + n
-	sh.appendBlocks(blocks, cache, cells, mos)
+	sh.appendBlocks(blocks, cache)
 	if int(sh.liveBase()) != want {
 		panic("store: adopted blocks do not cover the checkpointed rows")
 	}
@@ -237,11 +238,13 @@ func (sh *shard) spanOverlaps(slot int32, c *cplan) bool {
 }
 
 // spanOverlapsExact is spanOverlaps for a row whose span is saturated;
-// kept apart so the common nanos test inlines.
+// kept apart so the common nanos test inlines. Such a row is always live:
+// a block's spans lie inside the int64 nanosecond range (decode rejects
+// any other).
 //
 //sitm:locked
 func (sh *shard) spanOverlapsExact(slot int32, c *cplan) bool {
-	t := sh.trajAt(slot)
+	t := &sh.trajs[slot-sh.liveBase()]
 	return !t.End().Before(c.from) && !t.Start().After(c.to)
 }
 
@@ -256,27 +259,65 @@ func (sh *shard) liveBase() int32 {
 	return int32(sh.blk.rowCount)
 }
 
-// trajAt returns the trajectory at slot, materializing its block through
-// the cache when the slot lives in the lazily held segment prefix.
+// cellDuring reports whether the slot has a presence interval at c's cell
+// intersecting c's window, reading a block-backed slot's interval nanos
+// from its block's columns.
 //
 //sitm:locked
-func (sh *shard) trajAt(slot int32) core.Trajectory {
+func (sh *shard) cellDuring(slot int32, c *cplan) bool {
 	base := sh.liveBase()
-	if slot < base {
-		return sh.blk.traj(slot)
+	if slot >= base {
+		return liveCellDuring(&sh.trajs[slot-base], sh.encs[slot], c)
 	}
-	return sh.trajs[slot-base]
+	b := sh.blk.blockOf(slot)
+	return sh.blk.cols(b).cellDuring(int(slot-sh.blk.blocks[b].base), c.id, c.fromN, c.toN)
 }
 
-// allTrajs returns a copy of every slot's trajectory in slot order,
-// materializing the block-backed prefix through the cache.
+// addRows appends the rows of the ascending slots to out: a block-backed
+// slot as its block's columns plus a row index (each block's columns
+// fetched once per run of its slots), a live slot as a pointer to its
+// trajectory. Nothing is copied or materialized.
 //
 //sitm:locked
-func (sh *shard) allTrajs() []core.Trajectory {
-	if bs := sh.blk; bs != nil {
-		return append(bs.allTrajs(), sh.trajs...)
+func (sh *shard) addRows(out *shardRows, slots []int32) {
+	base := sh.liveBase()
+	var bc *blockCols
+	var lo, hi int32 // the slots bc covers
+	for _, slot := range slots {
+		ref := rowRef{}
+		if slot < base {
+			if bc == nil || slot < lo || slot >= hi {
+				b := sh.blk.blockOf(slot)
+				bc = sh.blk.cols(b)
+				lo = sh.blk.blocks[b].base
+				hi = lo + sh.blk.blocks[b].zone.rows
+			}
+			ref.cols, ref.row = bc, slot-lo
+		} else {
+			ref.live = &sh.trajs[slot-base]
+		}
+		out.keys = append(out.keys, sh.seqs[slot])
+		out.refs = append(out.refs, ref)
 	}
-	return append([]core.Trajectory(nil), sh.trajs...)
+}
+
+// addAll appends every slot's row to out in slot order, decoding each
+// block once.
+//
+//sitm:locked
+func (sh *shard) addAll(out *shardRows) {
+	out.keys = append(out.keys, sh.seqs...)
+	if bs := sh.blk; bs != nil {
+		for b := range bs.blocks {
+			bc := bs.cols(b)
+			for r := range bs.blocks[b].zone.rows {
+				out.refs = append(out.refs, rowRef{cols: bc, row: r})
+			}
+		}
+	}
+	for i := range sh.trajs {
+		out.refs = append(out.refs, rowRef{live: &sh.trajs[i]})
+	}
 }
 
 // insertRecovered appends decoded WAL-tail rows to this shard's columns,

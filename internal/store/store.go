@@ -49,6 +49,7 @@ import (
 	"io"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"sync/atomic"
@@ -157,13 +158,19 @@ func (s *Store) Put(t core.Trajectory) { s.PutBatch([]core.Trajectory{t}) }
 // disjoint moving objects never contend. A durable store logs the batch
 // to its WALs first, and does not apply a batch holding a time outside
 // the int64 nanosecond range its WAL stores — the whole batch is dropped
-// and the rejection is reported by Sync.
+// and the rejection is reported by Sync. A durable store keeps each row in
+// the form its WAL and blocks decode to (canonicalRows: times in UTC,
+// empty annotation value lists nil), so a row reads the same live, after
+// a checkpoint and after a reopen.
 func (s *Store) PutBatch(ts []core.Trajectory) {
 	if len(ts) == 0 {
 		return
 	}
-	if s.dur != nil && !s.dur.admit(ts) {
-		return
+	if s.dur != nil {
+		if !s.dur.admit(ts) {
+			return
+		}
+		ts = canonicalRows(ts)
 	}
 	encs := make([][]int32, len(ts))
 	anns := make([][]int32, len(ts))
@@ -192,6 +199,72 @@ func (s *Store) PutBatch(ts []core.Trajectory) {
 	}
 }
 
+// canonicalRows returns ts in the form the durable codecs decode rows
+// to: every interval time in UTC and every empty annotation value list
+// nil. That is ts itself when every row already is (as CSV "…Z" input
+// is), else a copy in which only the rows needing it get a converted copy
+// of their trace and maps. The caller's trajectories are never changed.
+func canonicalRows(ts []core.Trajectory) []core.Trajectory {
+	var out []core.Trajectory
+	for i := range ts {
+		t := &ts[i]
+		if canonicalTrace(t.Trace) && canonicalAnn(t.Ann) {
+			continue
+		}
+		if out == nil {
+			out = slices.Clone(ts)
+		}
+		tr := slices.Clone(t.Trace)
+		for j := range tr {
+			p := &tr[j]
+			p.Start, p.End = p.Start.UTC(), p.End.UTC()
+			p.Ann, p.TransitionAnn = canonicalCopy(p.Ann), canonicalCopy(p.TransitionAnn)
+		}
+		out[i].Trace, out[i].Ann = tr, canonicalCopy(t.Ann)
+	}
+	if out == nil {
+		return ts
+	}
+	return out
+}
+
+// canonicalTrace reports whether every interval of tr is in decoded form.
+func canonicalTrace(tr core.Trace) bool {
+	for i := range tr {
+		p := &tr[i]
+		if p.Start.Location() != time.UTC || p.End.Location() != time.UTC || !canonicalAnn(p.Ann) || !canonicalAnn(p.TransitionAnn) {
+			return false
+		}
+	}
+	return true
+}
+
+// canonicalAnn reports whether a holds no empty non-nil value list.
+func canonicalAnn(a core.Annotations) bool {
+	for _, vs := range a {
+		if vs != nil && len(vs) == 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// canonicalCopy returns a, or a copy of it with its empty value lists
+// nil.
+func canonicalCopy(a core.Annotations) core.Annotations {
+	if canonicalAnn(a) {
+		return a
+	}
+	out := make(core.Annotations, len(a))
+	for k, vs := range a {
+		if len(vs) == 0 {
+			vs = nil
+		}
+		out[k] = vs
+	}
+	return out
+}
+
 // PutAll inserts many trajectories (an alias of PutBatch, kept for the
 // bulk-load call sites).
 func (s *Store) PutAll(ts []core.Trajectory) { s.PutBatch(ts) }
@@ -209,15 +282,10 @@ func (s *Store) Len() int {
 }
 
 // shardRows is one shard's contribution to a cross-shard query: the
-// matching trajectories and their insertion sequences, in tandem.
+// matching rows and their insertion sequences, in tandem.
 type shardRows struct {
 	keys []uint64
-	ts   []core.Trajectory
-}
-
-func (r *shardRows) add(seq uint64, t core.Trajectory) {
-	r.keys = append(r.keys, seq)
-	r.ts = append(r.ts, t)
+	refs []rowRef
 }
 
 // seqOrder returns the insertion-order output position of every row, or
@@ -300,10 +368,10 @@ func placeBySeq[T any](keys []uint64, vals []T) []T {
 }
 
 // gather fans collect out across the shards (each invocation runs under
-// that shard's read lock) and merges the rows into insertion order — the
-// one merge-by-seq fan-out. Shards stop being scheduled once ctx is done,
-// and the error is then ctx.Err().
-func (s *Store) gather(ctx context.Context, collect func(sh *shard, out *shardRows)) ([]core.Trajectory, error) {
+// that shard's read lock) and merges the row references into insertion
+// order — the one merge-by-seq fan-out. Shards stop being scheduled once
+// ctx is done, and the error is then ctx.Err().
+func (s *Store) gather(ctx context.Context, collect func(sh *shard, out *shardRows)) ([]rowRef, error) {
 	per := make([]shardRows, len(s.shards))
 	err := parallel.ForEachCtx(ctx, len(s.shards), func(i int) {
 		sh := &s.shards[i]
@@ -316,27 +384,26 @@ func (s *Store) gather(ctx context.Context, collect func(sh *shard, out *shardRo
 	}
 	total := 0
 	for i := range per {
-		total += len(per[i].ts)
+		total += len(per[i].refs)
 	}
 	if total == 0 {
 		return nil, nil
 	}
 	keys := make([]uint64, 0, total)
-	ts := make([]core.Trajectory, 0, total)
+	refs := make([]rowRef, 0, total)
 	for i := range per {
 		keys = append(keys, per[i].keys...)
-		ts = append(ts, per[i].ts...)
+		refs = append(refs, per[i].refs...)
 	}
-	return placeBySeq(keys, ts), nil
+	return placeBySeq(keys, refs), nil
 }
 
 // All returns all trajectories in insertion order.
 func (s *Store) All() []core.Trajectory {
-	out, _ := s.gather(context.Background(), func(sh *shard, out *shardRows) { //sitm:locked
-		out.keys = append([]uint64(nil), sh.seqs...)
-		out.ts = sh.allTrajs()
+	refs, _ := s.gather(context.Background(), func(sh *shard, out *shardRows) { //sitm:locked
+		sh.addAll(out)
 	})
-	return out
+	return s.materialize(refs)
 }
 
 // ByMO returns the trajectories of one moving object in insertion order.
@@ -347,19 +414,11 @@ func (s *Store) ByMO(mo string) []core.Trajectory {
 		return nil
 	}
 	sh := s.shardOf(mo)
+	var out shardRows
 	sh.mu.RLock()
-	slots := sh.byMO[id]
-	keys := make([]uint64, len(slots))
-	ts := make([]core.Trajectory, len(slots))
-	for i, sl := range slots {
-		keys[i] = sh.seqs[sl]
-		ts[i] = sh.trajAt(sl)
-	}
+	sh.addRows(&out, sh.byMO[id])
 	sh.mu.RUnlock()
-	if len(ts) == 0 {
-		return nil
-	}
-	return placeBySeq(keys, ts)
+	return s.materialize(placeBySeq(out.keys, out.refs))
 }
 
 // MOs returns the distinct moving-object ids, sorted.

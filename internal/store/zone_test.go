@@ -392,7 +392,6 @@ func TestDurableRejectsRowsOutsideNanosRange(t *testing.T) {
 // for saturated times in the shard's span columns, and no writer stores
 // one, so a segment whose span reaches either extreme fails to decode.
 func TestDecodeSegmentV2RejectsSaturatedSpans(t *testing.T) {
-	sym := func(int32) string { return "s" }
 	for _, span := range [][2]int64{{1, math.MaxInt64}, {math.MinInt64, -1}} {
 		st, en := time.Unix(0, span[0]).UTC(), time.Unix(0, span[1]).UTC()
 		c := segmentColumns{
@@ -403,7 +402,7 @@ func TestDecodeSegmentV2RejectsSaturatedSpans(t *testing.T) {
 		var sh shard
 		sh.init()
 		seg, _ := encodeSegmentV2(&c)
-		_, err := sh.decodeSegments([]segFile{{"t", seg}}, 1, 1, 1, sym, sym, nil)
+		_, err := sh.decodeSegments([]segFile{{"t", seg}}, 1, 1, 1, nil)
 		if err == nil || !strings.Contains(err.Error(), "span time outside the storable range") {
 			t.Fatalf("span %v: err = %v", span, err)
 		}
