@@ -40,11 +40,11 @@ import (
 // per-row local indexes) — followed by the residual section: a block-local string dictionary and
 // per-row transition/time/annotation data. Cold Open decodes only the
 // eager columns (rebuilding postings) and structurally validates the
-// residual; the expensive part — string, map and Trace materialization —
-// is deferred until a query touches the block, behind the shared
-// BlockCache. Corruption anywhere is reported with the block index and
-// byte offset and fails that segment's load at Open; materialization
-// after a clean Open cannot fail.
+// residual; decoding the residual into columns (blockCols) is deferred
+// until a query touches the block, behind the shared BlockCache.
+// Corruption anywhere is reported with the block index and byte offset
+// and fails that segment's load at Open; a residual decode after a clean
+// Open cannot fail.
 
 const segMagicV2 = "SITMSEG2"
 
@@ -1062,7 +1062,7 @@ func (sh *shard) decodeBlockColumns(payload []byte, z *zoneMap, cellLimit, moLim
 // without materializing strings or maps: every local id bounds-checked,
 // every presence interval inside its row's span (the kCellDuring prune
 // relies on that envelope), reading the rows' spans and traces from the
-// shard's columns. After this walk, materialization cannot fail.
+// shard's columns. After this walk, decodeBlockCols cannot fail.
 //
 //sitm:locked
 func (sh *shard) validateBlockResidual(res []byte, base, rows int, tscale int64) error {

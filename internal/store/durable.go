@@ -69,7 +69,7 @@ type Options struct {
 	// faultfs.Injector to fail fsyncs, writes and renames at the
 	// syscall boundary.
 	FS faultfs.FS
-	// BlockCacheBytes bounds the cache of lazily materialized segment
+	// BlockCacheBytes bounds the cache of lazily decoded segment
 	// blocks (0 = DefaultBlockCacheBytes, negative = no caching).
 	// Ignored when BlockCache is set.
 	BlockCacheBytes int64
@@ -108,7 +108,7 @@ type durable struct {
 	// readOnly marks a store opened with Options.ReadOnly: no WAL
 	// handles exist and every mutating entry point refuses.
 	readOnly bool
-	// cache holds lazily materialized segment blocks (possibly shared
+	// cache holds lazily decoded segment blocks (possibly shared
 	// across stores via Options.BlockCache). Immutable after Open.
 	cache *BlockCache
 

@@ -56,9 +56,8 @@ type shard struct {
 	// segments (nil for in-memory stores and shards with none):
 	// slots [0, blk.rowCount) are served by their blocks' columns through
 	// the block cache, and only the live slots after them have trajs
-	// entries. Its
-	// blocks' zone maps precede the live zones in the prune loop
-	// (zoneSlots).
+	// entries. Its blocks' zone maps precede the live zones in the prune
+	// loop (zoneSlots).
 	//sitm:guardedby mu
 	blk *shardBlocks
 
