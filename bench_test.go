@@ -404,7 +404,7 @@ func BenchmarkStoreQueries(b *testing.B) {
 		DropZeroDuration: true, SessionGap: 10 * time.Hour,
 	})
 	st := sitm.NewStore()
-	st.PutAll(trajs)
+	st.PutBatch(trajs)
 	from := time.Date(2017, 3, 1, 0, 0, 0, 0, time.UTC)
 	to := from.AddDate(0, 1, 0)
 	b.ResetTimer()
@@ -431,7 +431,7 @@ func benchStore(b *testing.B) (*sitm.Store, []sitm.Trajectory) {
 		DropZeroDuration: true, SessionGap: 10 * time.Hour,
 	})
 	st := sitm.NewStore()
-	st.PutAll(trajs)
+	st.PutBatch(trajs)
 	return st, trajs
 }
 
@@ -671,7 +671,7 @@ func BenchmarkStoreMixedIncremental(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		st := sitm.NewStore()
-		st.PutAll(preload)
+		st.PutBatch(preload)
 		b.StartTimer()
 		w := e5Workload(stream,
 			st.PutBatch,
@@ -732,7 +732,7 @@ func TestE5IncrementalBeatsRebuild(t *testing.T) {
 	wInc := 0
 	for rep := 0; rep < 3; rep++ {
 		st := sitm.NewStore()
-		st.PutAll(preload)
+		st.PutBatch(preload)
 		start := time.Now()
 		wInc = e5Workload(stream,
 			st.PutBatch,

@@ -1036,8 +1036,5 @@ func runMine(args []string, out io.Writer) error {
 	}
 	fmt.Fprintln(out, "floor-switching patterns (§5)")
 	fmt.Fprint(out, viz.Table([]string{"from floor", "to floor", "count"}, rows))
-
-	// Deterministic ordering sanity for scripts consuming this output.
-	sort.SliceIsSorted(switches, func(i, j int) bool { return switches[i].Count >= switches[j].Count })
 	return nil
 }

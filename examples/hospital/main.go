@@ -115,7 +115,7 @@ func main() {
 	nt, err := sitm.NewTrajectory("nurse-012", nurse, sitm.NewAnnotations("role", "nurse"))
 	check(err)
 	st := sitm.NewStore()
-	st.PutAll([]sitm.Trajectory{pt, pump2, nt})
+	st.PutBatch([]sitm.Trajectory{pt, pump2, nt})
 	fmt.Println("\nstore:", st.Summarize())
 
 	// --- Semantic region queries on the compiled hierarchy. ---------------

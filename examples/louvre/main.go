@@ -84,7 +84,7 @@ func main() {
 	// write time, so spatio-temporal queries are integer-indexed and the
 	// analytics handoffs (Corpus, Sequences) re-encode nothing.
 	st := sitm.NewStore()
-	st.PutAll(trajs)
+	st.PutBatch(trajs)
 	fmt.Println("\nstore:", st.Summarize())
 	week := time.Date(2017, 3, 1, 0, 0, 0, 0, time.UTC)
 	fmt.Printf("visitors in zone60853 in the first week of March: %d\n",

@@ -89,7 +89,7 @@ func main() {
 		sitm.NewAnnotations("activity", "lunch-run"))
 	check(err)
 	st := sitm.NewStore()
-	st.PutAll([]sitm.Trajectory{traj, afternoon})
+	st.PutBatch([]sitm.Trajectory{traj, afternoon})
 	rt, err := sitm.CompileRegions(sg, h)
 	check(err)
 	st.AttachRegions(rt)

@@ -79,7 +79,7 @@ func main() {
 
 	// --- Storage: all analytics below run off the sharded store. ----------
 	st := sitm.NewStore()
-	st.PutAll(trajs)
+	st.PutBatch(trajs)
 	fmt.Println("store:", st.Summarize())
 	lunch := t0.Add(2 * time.Hour)
 	fmt.Printf("shoppers in the café between %s and %s: %d\n",

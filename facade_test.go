@@ -38,7 +38,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 		}
 	}
 	st := sitm.NewStore()
-	st.PutAll(trajs)
+	st.PutBatch(trajs)
 	if st.Len() != len(trajs) {
 		t.Fatal("store lost trajectories")
 	}
@@ -191,7 +191,7 @@ func TestPublicAPISemanticQueries(t *testing.T) {
 		SessionGap:       10 * time.Hour,
 	})
 	st := sitm.NewStore()
-	st.PutAll(trajs)
+	st.PutBatch(trajs)
 	st.AttachRegions(rt)
 
 	// Region roll-up query: everyone in the Denon wing is also in the
@@ -263,7 +263,7 @@ func TestPublicAPIDurableStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.PutAll(trajs)
+	st.PutBatch(trajs)
 	if err := st.Sync(); err != nil {
 		t.Fatal(err)
 	}

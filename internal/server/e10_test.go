@@ -38,7 +38,6 @@ func e10Config() Config {
 		ReadConcurrency:  2,
 		WriteConcurrency: 1,
 		QueueDepth:       2,
-		RetryAfter:       time.Second,
 	}
 }
 
@@ -168,8 +167,9 @@ func TestE10FsyncFaultNeverAcksUnsynced(t *testing.T) {
 
 // TestE10CheckpointRenameRetried: one injected failure of the MANIFEST
 // commit rename. The failure is pre-commit-point (WALs untouched), the
-// store marks it transient, and the drain path's retry budget absorbs
-// it — the drain succeeds and the checkpoint lands on the second try.
+// store marks it transient, and the drain path's retry budget (the
+// default policy) absorbs it — the drain succeeds and the checkpoint
+// lands on the second try.
 func TestE10CheckpointRenameRetried(t *testing.T) {
 	dir := t.TempDir()
 	inj := faultfs.NewInjector(faultfs.OS)
@@ -177,7 +177,7 @@ func TestE10CheckpointRenameRetried(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(st, Config{Retry: retry.Policy{MaxAttempts: 3, BaseDelay: time.Millisecond}})
+	srv := New(st, Config{})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 

@@ -229,7 +229,7 @@ func TestQueryReplyEncodeErrorAfterFlushAborts(t *testing.T) {
 	for i := range 400 {
 		rows = append(rows, mkServerTraj(t, fmt.Sprintf("mo-%04d", i), "hall", "atrium"))
 	}
-	st.PutAll(rows)
+	st.PutBatch(rows)
 	bad := mkServerTraj(t, "mo-bad", "hall")
 	good, err := referenceReply(false, nil, append(rows, bad))
 	if err != nil || len(good) <= 2*replyChunk {

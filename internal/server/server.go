@@ -42,18 +42,9 @@ type Config struct {
 	// milliseconds). Defaults: 5s / 30s.
 	DefaultTimeout time.Duration
 	MaxTimeout     time.Duration
-	// RetryAfter seeds the Retry-After hint on shed and draining
-	// responses. Default: 1s.
-	RetryAfter time.Duration
 	// PlanCacheSize caps the compiled-plan cache (entries). 0 defaults to
 	// 256; negative disables caching (every query compiles fresh).
 	PlanCacheSize int
-	// Retry governs retries around transient durable-store failures
-	// (checkpoint commits). The zero value is the retry package default.
-	Retry retry.Policy
-
-	// BatchSize is forwarded to the per-request ingestors. Default 128.
-	BatchSize int
 
 	// testDelay, when set (white-box tests only), is slept inside each
 	// query request's slot — a deterministic way to saturate admission.
@@ -76,14 +67,14 @@ func (c Config) withDefaults() Config {
 	if c.MaxTimeout <= 0 {
 		c.MaxTimeout = 30 * time.Second
 	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
-	}
 	if c.PlanCacheSize == 0 {
 		c.PlanCacheSize = 256
 	}
 	return c
 }
+
+// retryAfter is the Retry-After hint on shed and draining responses.
+const retryAfter = time.Second
 
 // Server serves one store over HTTP. Create with New, mount as an
 // http.Handler, and call Drain exactly once on the way out.
@@ -152,14 +143,14 @@ func (s *Server) guard(class *admitClass, fn func(http.ResponseWriter, *http.Req
 		}
 		s.drainMu.RUnlock()
 		if !admitted {
-			writeError(w, errDraining(s.cfg.RetryAfter))
+			writeError(w, errDraining(retryAfter))
 			return
 		}
 		defer s.inflight.Done()
 
 		ctx, cancel := context.WithTimeout(r.Context(), s.deadline(r))
 		defer cancel()
-		release, aerr := class.admit(ctx, s.cfg.RetryAfter)
+		release, aerr := class.admit(ctx, retryAfter)
 		if aerr != nil {
 			writeError(w, aerr)
 			return
@@ -173,7 +164,9 @@ func (s *Server) guard(class *admitClass, fn func(http.ResponseWriter, *http.Req
 }
 
 // deadline resolves the request's time budget: X-Sitm-Timeout (integer
-// milliseconds) clamped to MaxTimeout, else DefaultTimeout.
+// milliseconds) clamped to MaxTimeout, else DefaultTimeout. The clamp is
+// taken in milliseconds, before the conversion to a Duration could
+// overflow.
 func (s *Server) deadline(r *http.Request) time.Duration {
 	h := r.Header.Get("X-Sitm-Timeout")
 	if h == "" {
@@ -183,11 +176,10 @@ func (s *Server) deadline(r *http.Request) time.Duration {
 	if err != nil || ms <= 0 {
 		return s.cfg.DefaultTimeout
 	}
-	d := time.Duration(ms) * time.Millisecond
-	if d > s.cfg.MaxTimeout {
+	if ms > s.cfg.MaxTimeout.Milliseconds() {
 		return s.cfg.MaxTimeout
 	}
-	return d
+	return time.Duration(ms) * time.Millisecond
 }
 
 // queryRequest is the body of POST /v1/query; writeQueryReply (encode.go)
@@ -294,7 +286,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) *apiError 
 	if s.st.ReadOnly() {
 		return errReadOnly()
 	}
-	ing := ingest.New(s.st, ingest.Options{BatchSize: s.cfg.BatchSize})
+	ing := ingest.New(s.st, ingest.Options{})
 	ctx := r.Context()
 	rows := 0
 	err := store.StreamDetectionsCSV(io.LimitReader(r.Body, 64<<20), func(d core.Detection) error {
@@ -318,7 +310,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) *apiError 
 
 	// The ack gate. Sync failures are sticky (the WAL wedged), so retry
 	// only fires for errors the store explicitly marked transient.
-	if err := retry.Do(ctx, s.cfg.Retry, func(int) error { return s.st.Sync() }); err != nil {
+	if err := retry.Do(ctx, retry.Policy{}, func(int) error { return s.st.Sync() }); err != nil {
 		return errDurability(err)
 	}
 	return writeJSON(w, &ingestResponse{Rows: rows, Trajectories: stats.Stored, Synced: true})
@@ -365,7 +357,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) *apiError {
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
-		writeError(w, errDraining(s.cfg.RetryAfter))
+		writeError(w, errDraining(retryAfter))
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -409,7 +401,7 @@ func (s *Server) Drain(ctx context.Context) error {
 			// out, finalization still makes its (attempt-bounded) best
 			// effort to persist — the retry budget, not the drain
 			// deadline, caps how long that takes.
-			if err := retry.Do(context.Background(), s.cfg.Retry, func(int) error { return s.st.Checkpoint() }); err != nil {
+			if err := retry.Do(context.Background(), retry.Policy{}, func(int) error { return s.st.Checkpoint() }); err != nil {
 				// A failed checkpoint is not data loss: the synced WALs
 				// remain the source of truth for the next open.
 				errs = append(errs, fmt.Errorf("checkpoint: %w", err))

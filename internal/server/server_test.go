@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -254,6 +255,37 @@ func TestDeadlineHeader(t *testing.T) {
 	}
 	if resp.StatusCode != 504 || env.Error.Code != codeDeadline {
 		t.Fatalf("deadline response = %d/%q, want 504/deadline_exceeded", resp.StatusCode, env.Error.Code)
+	}
+}
+
+// TestDeadlineClamp: X-Sitm-Timeout values resolve to the default when
+// absent or not a positive integer, pass through up to MaxTimeout, and
+// clamp to MaxTimeout above it — including values whose nanosecond
+// product overflows int64.
+func TestDeadlineClamp(t *testing.T) {
+	srv := New(store.NewSharded(1), Config{})
+	def, maxT := srv.cfg.DefaultTimeout, srv.cfg.MaxTimeout
+	for _, c := range []struct {
+		header string
+		want   time.Duration
+	}{
+		{"", def},
+		{"soon", def},
+		{"0", def},
+		{"-5", def},
+		{"30", 30 * time.Millisecond},
+		{strconv.FormatInt(maxT.Milliseconds(), 10), maxT},
+		{strconv.FormatInt(maxT.Milliseconds()+1, 10), maxT},
+		{"10000000000000", maxT},
+		{"9223372036854775807", maxT},
+	} {
+		req := httptest.NewRequest(http.MethodPost, "/v1/query", nil)
+		if c.header != "" {
+			req.Header.Set("X-Sitm-Timeout", c.header)
+		}
+		if got := srv.deadline(req); got != c.want {
+			t.Errorf("X-Sitm-Timeout %q: deadline %v, want %v", c.header, got, c.want)
+		}
 	}
 }
 

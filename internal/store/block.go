@@ -7,7 +7,6 @@ import (
 	"math"
 	"slices"
 	"strings"
-	"sync/atomic"
 	"time"
 	"unsafe"
 
@@ -41,7 +40,7 @@ import (
 // per-row transition/time/annotation data. Cold Open decodes only the
 // eager columns (rebuilding postings) and structurally validates the
 // residual; decoding the residual into columns (blockCols) is deferred
-// until a query touches the block, behind the shared BlockCache.
+// until a query touches the block, behind the store's block cache.
 // Corruption anywhere is reported with the block index and byte offset
 // and fails that segment's load at Open; a residual decode after a clean
 // Open cannot fail.
@@ -53,11 +52,6 @@ const segMagicV2 = "SITMSEG2"
 // with small corpora; the on-disk format carries explicit per-block row
 // counts, so readers never depend on this value.
 var segBlockRows = 1024
-
-// nextBlockSegID issues process-unique segment ids for block-cache keys:
-// two stores (or two generations of one store) sharing a BlockCache can
-// never collide.
-var nextBlockSegID atomic.Uint64
 
 // ---- Zone maps -----------------------------------------------------------
 
@@ -778,11 +772,11 @@ type segFile struct {
 // map — pruning trusts zones, so a zone inconsistent with its rows is
 // corruption), the residual structure validated and left lazy behind the
 // block cache, and the block's slots indexed by indexSlot. Every block
-// joins the shard's one shardBlocks (one block-cache segment id) at its
-// final slot base (appendBlocks). Errors name the failing segment, block
-// and byte offset; a failed block fails the load, it never panics later.
+// joins the shard's one shardBlocks at its final slot base
+// (appendBlocks). Errors name the failing segment, block and byte offset;
+// a failed block fails the load, it never panics later.
 // Returns one past the highest seq loaded (0 when none).
-func (sh *shard) decodeSegments(files []segFile, cellLimit, moLimit, pairLimit int, cache *BlockCache) (uint64, error) {
+func (sh *shard) decodeSegments(files []segFile, cellLimit, moLimit, pairLimit int, cache *blockCache) (uint64, error) {
 	hdrs := make([]*segHeader, len(files))
 	rows, nBlocks := 0, 0
 	for i, f := range files {
@@ -843,18 +837,17 @@ func (sh *shard) decodeSegments(files []segFile, cellLimit, moLimit, pairLimit i
 }
 
 // appendBlocks appends blocks to the shard's block-backed prefix, setting
-// each one's base to its final slot, and creates the prefix (fresh
-// block-cache segment id) on the first one. Cold opens and checkpoints
-// both grow prefixes only here.
+// each one's base to its final slot, and creates the prefix on the first
+// one. Cold opens and checkpoints both grow prefixes only here.
 //
 //sitm:locked
-func (sh *shard) appendBlocks(blocks []blockInfo, cache *BlockCache) {
+func (sh *shard) appendBlocks(blocks []blockInfo, cache *blockCache) {
 	if len(blocks) == 0 {
 		return
 	}
 	bs := sh.blk
 	if bs == nil {
-		bs = &shardBlocks{cache: cache, segID: nextBlockSegID.Add(1), sh: sh}
+		bs = &shardBlocks{cache: cache, sh: sh}
 		sh.blk = bs
 	}
 	first := len(bs.blocks)
@@ -1111,13 +1104,12 @@ func (sh *shard) validateBlockResidual(res []byte, base, rows int, tscale int64)
 // [0, rowCount) are held by the shard's committed segments, one generation
 // after another, with their eager columns in the shard and their
 // trajectory column empty. cols decodes a block's residual section into
-// flat columns through the shared cache on demand. blocks and rowCount
+// flat columns through the store's cache on demand. blocks and rowCount
 // only grow (appendBlocks), under the owning shard's write lock; every
 // reader holds its read lock. An appended block never changes, so its
 // cached columns stay valid.
 type shardBlocks struct {
-	cache    *BlockCache
-	segID    uint64
+	cache    *blockCache
 	rowCount int
 	blocks   []blockInfo
 	// sh is the owning shard: its encs, moIDs and starts columns are the
@@ -1142,16 +1134,14 @@ func (bs *shardBlocks) blockOf(slot int32) int {
 	return lo
 }
 
-// cols returns the decoded columns of one block, consulting the shared
+// cols returns the decoded columns of one block, consulting the store's
 // cache first. The cache-hit path is allocation-free.
 //
 //sitm:locked
 func (bs *shardBlocks) cols(b int) *blockCols {
-	key := blockKey{seg: bs.segID, block: int32(b)}
-	if bs.cache != nil {
-		if bc, ok := bs.cache.get(key); ok {
-			return bc
-		}
+	key := blockKey{bs: bs, block: int32(b)}
+	if bc, ok := bs.cache.get(key); ok {
+		return bc
 	}
 	bc, err := bs.decodeBlockCols(b)
 	if err != nil {
@@ -1159,9 +1149,7 @@ func (bs *shardBlocks) cols(b int) *blockCols {
 		// encoded from these very columns, and the inputs are immutable.
 		panic(fmt.Errorf("store: segment block %d failed decode after validation: %w", b, err))
 	}
-	if bs.cache != nil {
-		bs.cache.put(key, bc)
-	}
+	bs.cache.put(key, bc)
 	return bc
 }
 

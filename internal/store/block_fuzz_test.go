@@ -34,7 +34,7 @@ func FuzzDecodeBlock(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var sh shard
 		sh.init()
-		_, err := sh.decodeSegments([]segFile{{"fuzz", data}}, fuzzDecodeLimits, fuzzDecodeLimits, fuzzDecodeLimits, nil)
+		_, err := sh.decodeSegments([]segFile{{"fuzz", data}}, fuzzDecodeLimits, fuzzDecodeLimits, fuzzDecodeLimits, newBlockCache(-1))
 		if err != nil || sh.blk == nil {
 			return
 		}

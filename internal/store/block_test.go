@@ -4,8 +4,8 @@ package store
 // error names the failing block and byte offset, and truncation at every
 // block boundary is detected), prune equivalence (zone-map pruning is
 // invisible to results across shard counts and GOMAXPROCS), the
-// allocation-free block-cache hit path, cache sharing and eviction, and
-// v1 monolithic segments being rejected.
+// allocation-free block-cache hit path, the cache's one budget and its
+// eviction order, and v1 monolithic segments being rejected.
 
 import (
 	"encoding/binary"
@@ -15,6 +15,7 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -268,40 +269,37 @@ func TestBlockCacheBytesAreExactFootprints(t *testing.T) {
 	c := s.dur.cache
 	var counted int64
 	entries := 0
-	for i := range c.shards {
-		cs := &c.shards[i]
-		cs.mu.Lock()
-		for _, e := range cs.ring {
-			bc := e.cols
-			n := int64(unsafe.Sizeof(blockCols{})) + int64(len(bc.blob))
-			n += int64(cap(bc.strs)) * int64(unsafe.Sizeof(""))
-			n += int64(cap(bc.ivs)) * int64(unsafe.Sizeof(colIv{}))
-			n += int64(cap(bc.keys)) * int64(unsafe.Sizeof(colKey{}))
-			for _, col := range [][]int32{bc.ivOff, bc.rowAnn, bc.setOff, bc.vals} {
-				n += int64(cap(col)) * int64(unsafe.Sizeof(int32(0)))
-			}
-			dict := 0
-			for _, str := range bc.strs {
-				dict += len(binary.AppendUvarint(nil, uint64(len(str)))) + len(str)
-			}
-			if dict != len(bc.blob) {
-				t.Fatalf("block %v: string copy of %d bytes for a %d-byte dictionary", e.key, len(bc.blob), dict)
-			}
-			counted += n
-			entries++
+	c.mu.Lock()
+	for e := c.hand; e != nil && (entries == 0 || e != c.hand); e = e.next {
+		bc := e.cols
+		n := int64(unsafe.Sizeof(blockCols{})) + int64(len(bc.blob))
+		n += int64(cap(bc.strs)) * int64(unsafe.Sizeof(""))
+		n += int64(cap(bc.ivs)) * int64(unsafe.Sizeof(colIv{}))
+		n += int64(cap(bc.keys)) * int64(unsafe.Sizeof(colKey{}))
+		for _, col := range [][]int32{bc.ivOff, bc.rowAnn, bc.setOff, bc.vals} {
+			n += int64(cap(col)) * int64(unsafe.Sizeof(int32(0)))
 		}
-		cs.mu.Unlock()
+		dict := 0
+		for _, str := range bc.strs {
+			dict += len(binary.AppendUvarint(nil, uint64(len(str)))) + len(str)
+		}
+		if dict != len(bc.blob) {
+			t.Fatalf("block %d: string copy of %d bytes for a %d-byte dictionary", e.key.block, len(bc.blob), dict)
+		}
+		counted += n
+		entries++
 	}
-	st := c.Stats()
+	c.mu.Unlock()
+	st := c.stats()
 	if entries == 0 || st.Entries != entries || st.Bytes != counted {
 		t.Fatalf("cache holds %d entries, %d bytes; counted %d entries, %d bytes", st.Entries, st.Bytes, entries, counted)
 	}
 }
 
-// TestBlockCacheSharingAndEviction exercises the cache contract: two
-// read-only replicas share one budget through Options.BlockCache, a
-// tiny budget forces CLOCK evictions without affecting results, and a
-// negative budget disables caching entirely.
+// TestBlockCacheSharingAndEviction exercises the cache contract on one
+// store whose shards share its one budget: a tiny budget forces CLOCK
+// evictions without affecting results, and a negative budget disables
+// caching entirely.
 func TestBlockCacheSharingAndEviction(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	trajs := richCorpusTrajs(rng, 300)
@@ -311,39 +309,105 @@ func TestBlockCacheSharingAndEviction(t *testing.T) {
 	oracle.PutBatch(trajs)
 	want := storeJSON(t, oracle)
 
-	// Small enough that the replicas' combined working set overflows it
-	// (forcing CLOCK evictions), big enough that individual blocks fit.
-	shared := NewBlockCache(1 << 16)
-	a := mustOpen(t, dir, Options{ReadOnly: true, BlockCache: shared})
-	b := mustOpen(t, dir, Options{ReadOnly: true, BlockCache: shared})
+	// Small enough that the two shards' working set overflows it (forcing
+	// CLOCK evictions), big enough that individual blocks fit.
+	a := mustOpen(t, dir, Options{ReadOnly: true, BlockCacheBytes: 1 << 14})
 	if got := storeJSON(t, a); got != want {
-		t.Fatal("replica A diverges from oracle under a shared cache")
+		t.Fatal("store diverges from oracle under a tiny cache")
 	}
-	if got := storeJSON(t, b); got != want {
-		t.Fatal("replica B diverges from oracle under a shared cache")
+	st, ok := a.BlockCacheStats()
+	if !ok || st.Evictions == 0 {
+		t.Fatalf("tiny budget saw no evictions: %+v (ok=%v)", st, ok)
 	}
-	st := shared.Stats()
-	if st.Evictions == 0 {
-		t.Fatalf("tiny shared budget saw no evictions: %+v", st)
-	}
-	if st.Misses == 0 || st.Bytes > 1<<16 {
-		t.Fatalf("implausible shared-cache stats: %+v", st)
-	}
-	if got, ok := a.BlockCacheStats(); !ok || got != st {
-		t.Fatalf("store stats %+v (ok=%v) disagree with cache %+v", got, ok, st)
+	if st.Misses == 0 || st.Entries == 0 || st.Bytes > 1<<14 {
+		t.Fatalf("implausible cache stats: %+v", st)
 	}
 	mustClose(t, a)
-	mustClose(t, b)
 
 	// Negative budget: nothing is retained, results unchanged.
 	c := mustOpen(t, dir, Options{ReadOnly: true, BlockCacheBytes: -1})
 	if got := storeJSON(t, c); got != want {
-		t.Fatal("uncached replica diverges from oracle")
+		t.Fatal("uncached store diverges from oracle")
 	}
 	if st, ok := c.BlockCacheStats(); !ok || st.Entries != 0 {
 		t.Fatalf("negative budget must cache nothing: %+v (ok=%v)", st, ok)
 	}
 	mustClose(t, c)
+}
+
+// TestBlockCacheHoldsBlocksUnderSmallBudget: a budget that holds every
+// block of the store, yet is less than eight times the largest one,
+// caches every block on the first full read, and the second read is
+// served from the cache without a single further decode.
+func TestBlockCacheHoldsBlocksUnderSmallBudget(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	dir := blockTestDir(t, richCorpusTrajs(rng, 80), 2, 16)
+
+	// Measure the blocks' footprints under an unbounded budget.
+	full := mustOpen(t, dir, Options{ReadOnly: true, BlockCacheBytes: 1 << 40})
+	full.All()
+	ws, _ := full.BlockCacheStats()
+	var largest int64
+	full.dur.cache.mu.Lock()
+	for _, e := range full.dur.cache.entries {
+		largest = max(largest, e.cols.size)
+	}
+	full.dur.cache.mu.Unlock()
+	mustClose(t, full)
+	if ws.Entries < 3 || ws.Bytes >= 8*largest {
+		t.Fatalf("%d blocks of %d bytes (largest %d): need a few blocks totalling under 8× the largest", ws.Entries, ws.Bytes, largest)
+	}
+
+	s := mustOpen(t, dir, Options{ReadOnly: true, BlockCacheBytes: ws.Bytes})
+	defer mustClose(t, s)
+	s.All()
+	first, _ := s.BlockCacheStats()
+	if first.Entries != ws.Entries || first.Bytes != ws.Bytes || first.Misses != int64(ws.Entries) {
+		t.Fatalf("first read: %+v, want all %d blocks (%d bytes) cached after %d misses", first, ws.Entries, ws.Bytes, ws.Entries)
+	}
+	s.All()
+	second, _ := s.BlockCacheStats()
+	if second.Misses != first.Misses || second.Hits <= first.Hits || second.Evictions != 0 {
+		t.Fatalf("second read: %+v after %+v, want only hits", second, first)
+	}
+}
+
+// TestBlockCacheClockOrder pins the eviction order on a cache of three
+// equal blocks: blocks that are never hit leave in insertion order — the
+// block inserted last is never the next victim — and a hit on the oldest
+// block, once the hand has cleared its bit, gives it a second chance, so
+// the next insert evicts the block after it.
+func TestBlockCacheClockOrder(t *testing.T) {
+	c := newBlockCache(30)
+	put := func(b int32) { c.put(blockKey{block: b}, &blockCols{size: 10}) }
+	cached := func() []int32 {
+		var out []int32
+		for e := c.hand; e != nil && (len(out) == 0 || e != c.hand); e = e.next {
+			out = append(out, e.key.block)
+		}
+		slices.Sort(out)
+		return out
+	}
+	for b := int32(0); b < 7; b++ {
+		put(b)
+		var want []int32
+		for k := max(b-2, 0); k <= b; k++ {
+			want = append(want, k)
+		}
+		if got := cached(); !slices.Equal(got, want) {
+			t.Fatalf("after inserting block %d: cached %v, want %v", b, got, want)
+		}
+	}
+	if _, ok := c.get(blockKey{block: 4}); !ok {
+		t.Fatal("block 4 not cached")
+	}
+	put(7)
+	if got, want := cached(), []int32{4, 6, 7}; !slices.Equal(got, want) {
+		t.Fatalf("after a hit on the oldest block: cached %v, want %v", got, want)
+	}
+	if st := c.stats(); st.Entries != 3 || st.Bytes != 30 || st.Evictions != 5 {
+		t.Fatalf("stats %+v, want 3 entries, 30 bytes, 5 evictions", st)
+	}
 }
 
 // TestV1SegmentRejected: a directory whose segments were written by the

@@ -2,55 +2,28 @@ package store
 
 import "sync"
 
-// BlockCache is the bounded, sharded cache holding the decoded residual
-// columns of segment blocks (DESIGN.md §3.12). Cold Open decodes only the
+// blockCache is the bounded cache holding the decoded residual columns of
+// a store's segment blocks (DESIGN.md §3.12). Cold Open decodes only the
 // cheap eager columns of a v2 segment; the string-heavy residual of each
 // block — transitions, per-point times, annotations — decodes on first
 // touch into flat columns (blockCols) and parks here, charged its exact
-// footprint. Eviction is CLOCK (second chance): a hit
-// sets the entry's reference bit, the eviction hand clears bits until it
-// finds an unreferenced victim, so repeatedly-touched blocks survive scans.
+// footprint. Eviction is CLOCK (second chance) over a circular list: a
+// block enters just behind the hand with its reference bit set, a hit
+// sets the bit again, and the hand clears bits until it finds an
+// unreferenced victim, so a block survives at least one full turn of the
+// hand after its last use and repeatedly-touched blocks survive scans.
 //
-// One cache may back many stores: pass the same *BlockCache via
-// Options.BlockCache to every read-only replica of a serving fleet and the
-// replicas share one residual budget instead of N. Keys embed a
-// process-unique segment id, so segments of different stores (or
-// generations) never collide.
-type BlockCache struct {
-	// capPerShard is the byte budget of each cache shard (immutable).
-	capPerShard int64
-	shards      [blockCacheShards]blockCacheShard
-}
+// Each durable store owns one cache with one byte budget, shared by all
+// of its shards: a block is cached whenever it fits the whole budget.
+type blockCache struct {
+	// capBytes is the byte budget (immutable).
+	capBytes int64
 
-const blockCacheShards = 8
-
-// DefaultBlockCacheBytes is the cache budget used when
-// Options.BlockCacheBytes is zero and no shared cache is supplied.
-const DefaultBlockCacheBytes int64 = 64 << 20
-
-// blockKey addresses one decoded block: the process-unique segment id
-// plus the block's index within its segment.
-type blockKey struct {
-	seg   uint64
-	block int32
-}
-
-// blockEntry is one cached block: its decoded columns (charged their
-// footprint, cols.size) and the CLOCK reference bit.
-type blockEntry struct {
-	key  blockKey
-	cols *blockCols
-	ref  bool
-}
-
-type blockCacheShard struct {
 	mu sync.Mutex
 	//sitm:guardedby mu
-	entries map[blockKey]int // key → position in ring
+	entries map[blockKey]*blockEntry
 	//sitm:guardedby mu
-	ring []blockEntry
-	//sitm:guardedby mu
-	hand int // CLOCK hand: next eviction candidate
+	hand *blockEntry // CLOCK hand: next eviction candidate (nil when empty)
 	//sitm:guardedby mu
 	bytes int64
 	//sitm:guardedby mu
@@ -61,31 +34,35 @@ type blockCacheShard struct {
 	evictions int64
 }
 
-// NewBlockCache returns a cache bounded by capBytes across all shards.
-// Zero selects DefaultBlockCacheBytes; a negative budget caches nothing
-// (every block access re-decodes — correct, just slower).
-func NewBlockCache(capBytes int64) *BlockCache {
+// DefaultBlockCacheBytes is the cache budget used when
+// Options.BlockCacheBytes is zero.
+const DefaultBlockCacheBytes int64 = 64 << 20
+
+// blockKey addresses one decoded block: the shard's block prefix plus the
+// block's index within it.
+type blockKey struct {
+	bs    *shardBlocks
+	block int32
+}
+
+// blockEntry is one cached block: its decoded columns (charged their
+// footprint, cols.size), the CLOCK reference bit and its neighbours on
+// the circular list.
+type blockEntry struct {
+	key        blockKey
+	cols       *blockCols
+	ref        bool
+	prev, next *blockEntry
+}
+
+// newBlockCache returns a cache bounded by capBytes. Zero selects
+// DefaultBlockCacheBytes; a negative budget caches nothing (every block
+// access re-decodes — correct, just slower).
+func newBlockCache(capBytes int64) *blockCache {
 	if capBytes == 0 {
 		capBytes = DefaultBlockCacheBytes
 	}
-	if capBytes < 0 {
-		capBytes = 0
-	}
-	c := &BlockCache{capPerShard: (capBytes + blockCacheShards - 1) / blockCacheShards}
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		s.entries = make(map[blockKey]int)
-		s.mu.Unlock()
-	}
-	return c
-}
-
-//sitm:hotpath
-func (c *BlockCache) shardOf(key blockKey) *blockCacheShard {
-	h := key.seg*0x9E3779B97F4A7C15 + uint64(uint32(key.block))
-	h ^= h >> 32
-	return &c.shards[h%blockCacheShards]
+	return &blockCache{capBytes: max(capBytes, 0), entries: make(map[blockKey]*blockEntry)}
 }
 
 // get returns the cached columns of a block, marking it recently used.
@@ -93,72 +70,71 @@ func (c *BlockCache) shardOf(key blockKey) *blockCacheShard {
 // tests).
 //
 //sitm:hotpath
-func (c *BlockCache) get(key blockKey) (*blockCols, bool) {
-	s := c.shardOf(key)
-	s.mu.Lock()
-	if i, ok := s.entries[key]; ok {
-		s.ring[i].ref = true
-		bc := s.ring[i].cols
-		s.hits++
-		s.mu.Unlock()
-		return bc, true
+func (c *blockCache) get(key blockKey) (*blockCols, bool) {
+	c.mu.Lock()
+	if e, ok := c.entries[key]; ok {
+		e.ref = true
+		c.hits++
+		c.mu.Unlock()
+		return e.cols, true
 	}
-	s.misses++
-	s.mu.Unlock()
+	c.misses++
+	c.mu.Unlock()
 	return nil, false
 }
 
 // put inserts a freshly decoded block, evicting CLOCK victims until it
-// fits. A block larger than a whole shard budget is served uncached. A
-// racing insert of the same key keeps the first copy.
-func (c *BlockCache) put(key blockKey, bc *blockCols) {
+// fits. A block larger than the whole budget is served uncached. A racing
+// insert of the same key keeps the first copy.
+func (c *blockCache) put(key blockKey, bc *blockCols) {
 	size := bc.size
-	if size > c.capPerShard {
+	if size > c.capBytes {
 		return
 	}
-	s := c.shardOf(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.entries[key]; ok {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, ok := c.entries[key]; ok {
 		return
 	}
-	for s.bytes+size > c.capPerShard && len(s.ring) > 0 {
-		if s.hand >= len(s.ring) {
-			s.hand = 0
-		}
-		e := &s.ring[s.hand]
-		if e.ref {
+	for c.bytes+size > c.capBytes {
+		if e := c.hand; e.ref {
 			e.ref = false
-			s.hand++
-			continue
+			c.hand = e.next
+		} else {
+			c.remove(e)
 		}
-		s.remove(s.hand)
 	}
-	s.entries[key] = len(s.ring)
-	s.ring = append(s.ring, blockEntry{key: key, cols: bc})
-	s.bytes += size
+	// Just behind the hand: the last entry the hand reaches.
+	e := &blockEntry{key: key, cols: bc, ref: true}
+	if c.hand == nil {
+		e.prev, e.next = e, e
+		c.hand = e
+	} else {
+		e.prev, e.next = c.hand.prev, c.hand
+		e.prev.next, c.hand.prev = e, e
+	}
+	c.entries[key] = e
+	c.bytes += size
 }
 
-// remove drops ring[i] (swap-remove; CLOCK tolerates the order
-// perturbation) and fixes the moved entry's map position.
+// remove evicts e, moving the hand past it when it points at e.
 //
 //sitm:locked
-func (s *blockCacheShard) remove(i int) {
-	e := &s.ring[i]
-	delete(s.entries, e.key)
-	s.bytes -= e.cols.size
-	s.evictions++
-	last := len(s.ring) - 1
-	if i != last {
-		s.ring[i] = s.ring[last]
-		s.entries[s.ring[i].key] = i
+func (c *blockCache) remove(e *blockEntry) {
+	delete(c.entries, e.key)
+	c.bytes -= e.cols.size
+	c.evictions++
+	if e.next == e {
+		c.hand = nil
+		return
 	}
-	s.ring[last] = blockEntry{}
-	s.ring = s.ring[:last]
+	e.prev.next, e.next.prev = e.next, e.prev
+	if c.hand == e {
+		c.hand = e.next
+	}
 }
 
-// BlockCacheStats describes a cache's occupancy and traffic, summed over
-// its internal shards.
+// BlockCacheStats describes a store's block cache: occupancy and traffic.
 type BlockCacheStats struct {
 	Entries   int   // cached blocks
 	Bytes     int64 // bytes held: the summed footprints of the cached columns
@@ -167,18 +143,9 @@ type BlockCacheStats struct {
 	Evictions int64
 }
 
-// Stats snapshots the cache counters.
-func (c *BlockCache) Stats() BlockCacheStats {
-	var out BlockCacheStats
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		out.Entries += len(s.ring)
-		out.Bytes += s.bytes
-		out.Hits += s.hits
-		out.Misses += s.misses
-		out.Evictions += s.evictions
-		s.mu.Unlock()
-	}
-	return out
+// stats snapshots the cache counters.
+func (c *blockCache) stats() BlockCacheStats {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return BlockCacheStats{Entries: len(c.entries), Bytes: c.bytes, Hits: c.hits, Misses: c.misses, Evictions: c.evictions}
 }

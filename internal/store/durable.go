@@ -53,10 +53,6 @@ type Options struct {
 	// An existing directory's shard layout is authoritative: 0 adopts it,
 	// a conflicting non-zero value errors.
 	Shards int
-	// AutoCompactBytes, when > 0, triggers a background checkpoint once
-	// the live WAL bytes exceed it. 0 disables background compaction
-	// (checkpoint explicitly via Checkpoint).
-	AutoCompactBytes int64
 	// ReadOnly opens the directory without creating or appending any
 	// file: no manifest bootstrap, no WAL creation, no torn-tail
 	// truncation — the open leaves the directory byte-identical. The
@@ -69,14 +65,10 @@ type Options struct {
 	// faultfs.Injector to fail fsyncs, writes and renames at the
 	// syscall boundary.
 	FS faultfs.FS
-	// BlockCacheBytes bounds the cache of lazily decoded segment
-	// blocks (0 = DefaultBlockCacheBytes, negative = no caching).
-	// Ignored when BlockCache is set.
+	// BlockCacheBytes bounds the store's cache of lazily decoded
+	// segment blocks (0 = DefaultBlockCacheBytes, negative = no
+	// caching).
 	BlockCacheBytes int64
-	// BlockCache, when non-nil, is used instead of a private cache —
-	// pass one cache to every read-only replica of a serving fleet so
-	// they share a single residual-block budget.
-	BlockCache *BlockCache
 }
 
 // ErrReadOnly reports a write attempted on a store opened with
@@ -100,17 +92,16 @@ type rowLog struct {
 
 // durable is the persistence state hanging off a Store opened with Open.
 type durable struct {
-	dir  string
-	opts Options
+	dir string
 	// fs is the filesystem every durability syscall goes through
 	// (faultfs.OS outside fault-injection tests).
 	fs faultfs.FS
 	// readOnly marks a store opened with Options.ReadOnly: no WAL
 	// handles exist and every mutating entry point refuses.
 	readOnly bool
-	// cache holds lazily decoded segment blocks (possibly shared
-	// across stores via Options.BlockCache). Immutable after Open.
-	cache *BlockCache
+	// cache holds the store's lazily decoded segment blocks. Immutable
+	// after Open.
+	cache *blockCache
 
 	// gate admits writers shared and the checkpoint rotation exclusive:
 	// rotation must observe no WAL append or shard insert in flight.
@@ -139,10 +130,8 @@ type durable struct {
 	//sitm:guardedby ckptMu
 	staleWAL []string // replayed WAL files awaiting checkpoint cleanup
 
-	walLive    atomic.Int64 // bytes across live WAL files (compaction trigger)
-	compacting atomic.Bool
-	closed     atomic.Bool
-	wg         sync.WaitGroup
+	walLive atomic.Int64 // bytes across live WAL files (DurableStats.WALBytes)
+	closed  atomic.Bool
 
 	errMu sync.Mutex
 	// err is the first durability failure; once set, the store keeps
@@ -251,7 +240,6 @@ func (s *Store) putBatchDurable(ts []core.Trajectory, moIDs []int32, encs, anns 
 		sh.mu.Unlock()
 	}
 	d.gate.RUnlock()
-	d.maybeCompact(s)
 }
 
 // Sync makes every previously completed Put/PutBatch durable: the dict
@@ -486,33 +474,10 @@ func removeAll(fsys faultfs.FS, paths []string) {
 	}
 }
 
-// maybeCompact kicks off a background checkpoint once the live WAL bytes
-// cross the configured threshold. Single-flight: at most one background
-// compaction runs at a time.
-func (d *durable) maybeCompact(s *Store) {
-	if d.opts.AutoCompactBytes <= 0 || d.closed.Load() {
-		return
-	}
-	if d.walLive.Load() < d.opts.AutoCompactBytes {
-		return
-	}
-	if !d.compacting.CompareAndSwap(false, true) {
-		return
-	}
-	d.wg.Add(1)
-	go func() {
-		defer d.wg.Done()
-		defer d.compacting.Store(false)
-		if err := s.Checkpoint(); err != nil && !d.closed.Load() {
-			d.fail(err)
-		}
-	}()
-}
-
-// Close waits for background compaction, flushes and fsyncs every WAL,
-// and closes the files. Close on an in-memory store is a no-op. The
-// returned error is the sticky durability error, if any — a nil return
-// means everything written is on disk.
+// Close flushes and fsyncs every WAL and closes the files. Close on an
+// in-memory store is a no-op. The returned error is the sticky
+// durability error, if any — a nil return means everything written is on
+// disk.
 func (s *Store) Close() error {
 	d := s.dur
 	if d == nil {
@@ -526,7 +491,6 @@ func (s *Store) Close() error {
 	if d.closed.Swap(true) {
 		return d.sticky()
 	}
-	d.wg.Wait()
 	d.ckptMu.Lock()
 	d.dictMu.Lock()
 	dl := d.dictLog
@@ -578,7 +542,7 @@ func (s *Store) Durability() (DurableStats, bool) {
 // generation order, straight into the shard's columns
 // (shard.decodeSegments), their residual rows left lazy behind the block
 // cache. Returns one past the highest row seq loaded (0 when none).
-func (s *Store) loadSegments(fsys faultfs.FS, dir string, shard int, gens []uint64, cache *BlockCache) (uint64, error) {
+func (s *Store) loadSegments(fsys faultfs.FS, dir string, shard int, gens []uint64, cache *blockCache) (uint64, error) {
 	files := make([]segFile, 0, len(gens))
 	for _, gen := range gens {
 		path := segPath(dir, gen, shard)
@@ -596,10 +560,10 @@ func (s *Store) loadSegments(fsys faultfs.FS, dir string, shard int, gens []uint
 // store; ok is false for an in-memory store, which holds no lazy blocks.
 func (s *Store) BlockCacheStats() (BlockCacheStats, bool) {
 	d := s.dur
-	if d == nil || d.cache == nil {
+	if d == nil {
 		return BlockCacheStats{}, false
 	}
-	return d.cache.Stats(), true
+	return d.cache.stats(), true
 }
 
 // errStaleRow tags a WAL row whose ids point past the recovered
@@ -616,7 +580,7 @@ type walReplay func(path string, fn func(typ byte, payload []byte) error) (int64
 // recovered is what recoverDir rebuilt from a directory.
 type recovered struct {
 	s         *Store
-	cache     *BlockCache
+	cache     *blockCache
 	dictFiles []walFile
 	rowFiles  [][]walFile
 	walBytes  int64
@@ -694,10 +658,7 @@ func recoverDir(fsys faultfs.FS, dir string, man *manifest, opts Options, replay
 	// 3. Segments, shards in parallel: each shard's generations append
 	// their eager columns as one block-backed prefix and leave residuals
 	// lazy behind the block cache.
-	rec.cache = opts.BlockCache
-	if rec.cache == nil {
-		rec.cache = NewBlockCache(opts.BlockCacheBytes)
-	}
+	rec.cache = newBlockCache(opts.BlockCacheBytes)
 	maxSeqs := make([]uint64, nShards)
 	errs := make([]error, nShards)
 	parallel.ForEach(nShards, func(i int) {
@@ -858,7 +819,6 @@ func Open(dir string, opts Options) (*Store, error) {
 	s := rec.s
 	d := &durable{
 		dir:      dir,
-		opts:     opts,
 		fs:       fsys,
 		cache:    rec.cache,
 		dictLog:  dictLog,
@@ -901,7 +861,6 @@ func openReadOnly(fsys faultfs.FS, dir string, opts Options) (*Store, error) {
 	}
 	d := &durable{
 		dir:      dir,
-		opts:     opts,
 		fs:       fsys,
 		cache:    rec.cache,
 		readOnly: true,

@@ -224,51 +224,6 @@ func mkTraj(t *testing.T, mo string, cells ...string) core.Trajectory {
 	return traj
 }
 
-// TestDurableAutoCompact: crossing the WAL byte threshold triggers a
-// background checkpoint without any explicit Checkpoint call.
-func TestDurableAutoCompact(t *testing.T) {
-	dir := t.TempDir()
-	rng := rand.New(rand.NewSource(11))
-	s := mustOpen(t, dir, Options{Shards: 2, AutoCompactBytes: 4 << 10})
-	ref := NewSharded(1)
-	for i := 0; i < 40; i++ {
-		batch := randomCorpusTrajs(rng, 10)
-		s.PutBatch(batch)
-		ref.PutBatch(batch)
-	}
-	// The checkpoint runs on a background goroutine; give it a deadline to
-	// land before closing (Close would refuse a checkpoint that only gets
-	// scheduled after it).
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		st, ok := s.Durability()
-		if !ok {
-			t.Fatal("durable store reports no durability stats")
-		}
-		if st.Gen > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("background compaction never ran despite WAL growth")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	mustClose(t, s)
-
-	man, err := readManifest(faultfs.OS, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if man.Gen == 0 {
-		t.Fatal("manifest lost the background checkpoint generation")
-	}
-	s = mustOpen(t, dir, Options{})
-	if got, want := storeJSON(t, s), storeJSON(t, ref); got != want {
-		t.Fatal("auto-compacted store diverged after reopen")
-	}
-	mustClose(t, s)
-}
-
 // TestDurableConcurrentWritersAndCheckpoints hammers Put/PutBatch from
 // several goroutines while checkpoints run — each commit swapping the
 // rows it wrote to blocks — and readers run CellDuring and

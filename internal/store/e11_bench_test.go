@@ -332,8 +332,7 @@ func TestE11BlocksBeatMonolith(t *testing.T) {
 	t.Logf("E11 size: v1 %d bytes, v2 %d bytes (%.0f%%)", v1Bytes, v2Bytes, ratio*100)
 
 	// Cold open decodes no residual block and keeps no trajectory value.
-	cache := NewBlockCache(1 << 30)
-	cold, err := Open(v2Dir, Options{ReadOnly: true, BlockCache: cache})
+	cold, err := Open(v2Dir, Options{ReadOnly: true, BlockCacheBytes: 1 << 30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +340,7 @@ func TestE11BlocksBeatMonolith(t *testing.T) {
 	if cold.Len() != e11Trajs {
 		t.Fatal("short recovery")
 	}
-	if st := cache.Stats(); st.Misses != 0 || st.Bytes != 0 {
+	if st, _ := cold.BlockCacheStats(); st.Misses != 0 || st.Bytes != 0 {
 		t.Fatalf("cold v2 open decoded residual blocks: %+v", st)
 	}
 	for i := range cold.shards {
@@ -379,7 +378,7 @@ func TestE11BlocksBeatMonolith(t *testing.T) {
 	if fmt.Sprint(got) != fmt.Sprint(a) {
 		t.Fatal("cold window query diverges from the oracle answer")
 	}
-	st := cache.Stats()
+	st, _ := cold.BlockCacheStats()
 	if st.Misses != int64(want.matching) || st.Evictions != 0 {
 		t.Fatalf("window query decoded %d blocks (%d evictions), want exactly the %d of %d holding a matching row",
 			st.Misses, st.Evictions, want.matching, want.total)

@@ -31,7 +31,7 @@ func segRows(t *testing.T, path string) int {
 	}
 	var sh shard
 	sh.init()
-	if _, err := sh.decodeSegments([]segFile{{path, data}}, 1<<30, 1<<30, 1<<30, nil); err != nil {
+	if _, err := sh.decodeSegments([]segFile{{path, data}}, 1<<30, 1<<30, 1<<30, newBlockCache(-1)); err != nil {
 		t.Fatal(err)
 	}
 	return len(sh.seqs)

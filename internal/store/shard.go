@@ -164,7 +164,7 @@ func (sh *shard) foldZone(slot int32, tr core.Trace) {
 // ids do not change. O(blocks + live rows).
 //
 //sitm:locked
-func (sh *shard) adoptSegment(n int, blocks []blockInfo, cache *BlockCache) {
+func (sh *shard) adoptSegment(n int, blocks []blockInfo, cache *blockCache) {
 	if n == 0 {
 		return // the shard gained no row: its segment holds no block
 	}

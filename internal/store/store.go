@@ -265,10 +265,6 @@ func canonicalCopy(a core.Annotations) core.Annotations {
 	return out
 }
 
-// PutAll inserts many trajectories (an alias of PutBatch, kept for the
-// bulk-load call sites).
-func (s *Store) PutAll(ts []core.Trajectory) { s.PutBatch(ts) }
-
 // Len returns the number of stored trajectories.
 func (s *Store) Len() int {
 	n := 0

@@ -35,7 +35,7 @@ func traj(t *testing.T, mo string, startMin int, cells ...string) core.Trajector
 func fill(t *testing.T) *Store {
 	t.Helper()
 	s := newTestStore() // honors the -shards sweep (see property_test.go)
-	s.PutAll([]core.Trajectory{
+	s.PutBatch([]core.Trajectory{
 		traj(t, "alice", 0, "E", "P", "S"),
 		traj(t, "bob", 5, "E", "S"),
 		traj(t, "alice", 300, "P", "S", "C"),

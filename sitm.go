@@ -429,8 +429,10 @@ func NewStore() *Store { return store.New() }
 // shards buy write concurrency under multi-feed ingestion.
 func NewShardedStore(shards int) *Store { return store.NewSharded(shards) }
 
-// StoreOptions configures OpenStore: shard count and the WAL byte
-// threshold that triggers background compaction (0 disables it).
+// StoreOptions configures OpenStore: the shard count of a fresh
+// directory, read-only mode, the filesystem durability I/O goes through,
+// and the byte budget of the store's cache of decoded segment blocks
+// (0 = the 64 MiB default, negative caches nothing).
 type StoreOptions = store.Options
 
 // DurableStats reports a durable store's on-disk state (see
@@ -449,20 +451,10 @@ type DurableStats = store.DurableStats
 // behind (experiment E9).
 func OpenStore(dir string, opts StoreOptions) (*Store, error) { return store.Open(dir, opts) }
 
-// BlockCache is the bounded sharded cache serving lazily decoded segment
-// blocks (experiment E11). Construct one with NewBlockCache and pass it
-// via StoreOptions.BlockCache to share a single residual-decode budget
-// across every read-only replica of a serving fleet; leave the field nil
-// and each store gets a private cache of StoreOptions.BlockCacheBytes.
-type BlockCache = store.BlockCache
-
-// BlockCacheStats reports a block cache's occupancy and hit/miss/eviction
-// counters (see Store.BlockCacheStats and BlockCache.Stats).
+// BlockCacheStats reports the occupancy and hit/miss/eviction counters of
+// a durable store's cache of lazily decoded segment blocks (experiment
+// E11; see Store.BlockCacheStats).
 type BlockCacheStats = store.BlockCacheStats
-
-// NewBlockCache returns a block cache bounded by capBytes (0 selects the
-// engine default; negative disables caching).
-func NewBlockCache(capBytes int64) *BlockCache { return store.NewBlockCache(capBytes) }
 
 // InspectStoreDir writes a human-readable report of a durable store
 // directory — manifest, per-segment block layout and zone-map extents,
