@@ -1395,6 +1395,25 @@ func (sh *shard) zone(i int) (int32, *zoneMap) {
 	return sh.zones[i].base, &sh.zones[i].zone
 }
 
+// windowRows prices a time window in the shard: the rows of the zones not
+// timeDisjoint from [fromN, toN], found by zoneSlots' zone walk without
+// touching a row.
+//
+//sitm:locked
+func (sh *shard) windowRows(fromN, toN int64) int {
+	n := len(sh.zones)
+	if sh.blk != nil {
+		n += len(sh.blk.blocks)
+	}
+	rows := 0
+	for i := 0; i < n; i++ {
+		if _, z := sh.zone(i); !z.timeDisjoint(fromN, toN) {
+			rows += int(z.rows)
+		}
+	}
+	return rows
+}
+
 // zoneSlots answers a kTime or kCellDuring node in one shard with a single
 // prune loop over every zone, checkpointed and live alike: a zone
 // disjoint from the window (or, for kCellDuring, whose bloom lacks the
@@ -1437,6 +1456,7 @@ func (c *cplan) zoneSlots(ctx *execCtx) []int32 {
 			if prune && z.timeDisjoint(fromN, toN) {
 				continue
 			}
+			ctx.examined += int(z.rows)
 			if prune && z.timeCovered(fromN, toN) {
 				for s := base; s < last; s++ {
 					slots = append(slots, s)
@@ -1467,6 +1487,7 @@ func (c *cplan) zoneSlots(ctx *execCtx) []int32 {
 			continue
 		}
 		ctx.scannedZones++
+		ctx.examined += len(cand)
 		var bc *blockCols // decoded on first need
 		for _, s := range cand {
 			if !z.unbounded && (sh.ends[s] < fromN || sh.starts[s] > toN) {

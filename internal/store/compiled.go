@@ -2,6 +2,7 @@ package store
 
 import (
 	"context"
+	"slices"
 	"sort"
 
 	"sitm/internal/core"
@@ -169,18 +170,14 @@ func (s *Store) selectMOsPlan(ctx context.Context, plan *cplan) ([]string, error
 		sh := &s.shards[i]
 		sh.mu.RLock()
 		ectx := execCtx{s: s, sh: sh}
-		var seen map[int32]bool
-		for _, slot := range plan.exec(&ectx) {
-			mo := sh.moIDs[slot]
-			if seen == nil {
-				seen = make(map[int32]bool)
-			}
-			if !seen[mo] {
-				seen[mo] = true
-				per[i] = append(per[i], mo)
-			}
+		slots := plan.exec(&ectx)
+		mos := make([]int32, len(slots))
+		for j, slot := range slots {
+			mos[j] = sh.moIDs[slot]
 		}
 		sh.mu.RUnlock()
+		slices.Sort(mos)
+		per[i] = slices.Compact(mos)
 	})
 	if err != nil {
 		return nil, err

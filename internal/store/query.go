@@ -1,6 +1,7 @@
 package store
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
@@ -18,12 +19,14 @@ import (
 // posting-list and bitmap algebra. Compilation resolves every string to a
 // dense id (an unknown symbol statically collapses the plan to empty, and
 // a region reference binds its membership bitmap over the frozen cell
-// dictionary); execution orders conjuncts by estimated selectivity — the
-// cheapest index-backed predicate materialises the candidate slots, every
-// other predicate runs as a sorted-list intersection or a constant-time
-// per-slot test. The three pre-planner query methods (Overlapping,
-// InCellDuring, ThroughSequence) are canned plans on this engine and
-// produce bit-identical results to their hand-rolled predecessors.
+// dictionary); execution orders conjuncts by estimated selectivity —
+// posting lengths, and for a time window the rows of the zones it touches
+// — so the cheapest predicate materialises the candidate slots and every
+// other one narrows them by trimmed intersection or a constant-time
+// per-slot test. The three pre-planner query methods
+// (Overlapping, InCellDuring, ThroughSequence) are canned plans on this
+// engine and produce bit-identical results to their hand-rolled
+// predecessors.
 
 // Query is one node of the composable query AST. Build queries with the
 // constructors below and run them with Store.Select or Store.SelectMOs.
@@ -265,8 +268,9 @@ func (s *Store) compile(q Query) (*cplan, error) {
 // execCtx carries the per-shard execution scratch: the shard itself, a
 // reusable dedup buffer for sequence-run checks, two reusable DP rows for
 // region runs, the region-membership fallback for cells interned after
-// the plan's dictionary snapshot, and the count of zones the prune loop
-// could neither skip nor take whole.
+// the plan's dictionary snapshot, and two work counts: the zones the prune
+// loop could neither skip nor take whole, and the slots and posting
+// entries the plan examined.
 type execCtx struct {
 	s            *Store
 	sh           *shard
@@ -275,6 +279,12 @@ type execCtx struct {
 	next         []bool
 	running      *cplan // kThroughRegions node the membership test binds to
 	scannedZones int    // zones tested slot by slot (zoneSlots)
+	// examined counts the slots the plan tests or takes whole from a
+	// covered zone, plus the posting entries its intersections visit and
+	// the entries its unions sort. It leaves out the O(zones) zone walks
+	// (shard.windowRows, the prune loop of zoneSlots) and the O(log n)
+	// binary searches that trim an intersection's longer list.
+	examined int
 }
 
 // member reports whether the cell id belongs to run member b of the
@@ -319,7 +329,7 @@ func (c *cplan) estimate(sh *shard) int {
 	case kMO:
 		return len(sh.byMO[c.id])
 	case kTime:
-		return len(sh.seqs)
+		return sh.windowRows(c.fromN, c.toN)
 	case kCellDuring:
 		return len(sh.posting(c.id))
 	case kThrough:
@@ -403,40 +413,21 @@ func (c *cplan) exec(ctx *execCtx) []int32 {
 	case kTime, kCellDuring:
 		return c.zoneSlots(ctx)
 	case kThrough, kThroughRegions:
-		base := c.intersectPostings(sh)
-		return filterSlots(ctx, c, base)
+		return filterSlots(ctx, c, c.intersectPostings(ctx, nil))
 	case kAnd:
-		// Selectivity- and cost-ordered: the cheap children (posting lists,
-		// zone-pruned windows, nested plans) run first in ascending-estimate
-		// order — the smallest materialises the candidate set, the rest
-		// shrink it by sorted intersection or constant-time tests. The
-		// expensive sequence-run children go last: each first shrinks the
-		// candidates by its posting intersection (cells/regions that must
-		// all be present), then run-checks only the survivors.
-		var cheap, runs []*cplan
-		for _, kid := range c.kids {
-			if kid.kind == kThrough || kid.kind == kThroughRegions {
-				runs = append(runs, kid)
-			} else {
-				cheap = append(cheap, kid)
-			}
-		}
-		sort.SliceStable(cheap, func(a, b int) bool { return cheap[a].estimate(sh) < cheap[b].estimate(sh) })
-		sort.SliceStable(runs, func(a, b int) bool { return runs[a].estimate(sh) < runs[b].estimate(sh) })
-		order := append(cheap, runs...)
-		base := order[0].exec(ctx)
-		for _, kid := range order[1:] {
+		order := c.conjunctOrder(sh)
+		base := order[0].kid.exec(ctx)
+		for _, p := range order[1:] {
 			if len(base) == 0 {
 				return nil
 			}
 			switch {
-			case kid.postingBacked():
-				base = intersectSorted(base, kid.postingOf(sh))
-			case kid.kind == kThrough || kid.kind == kThroughRegions:
-				base = intersectSorted(base, kid.intersectPostings(sh))
-				base = filterSlots(ctx, kid, base)
+			case p.kid.postingBacked():
+				base = intersectSorted(base, p.kid.postingOf(sh), &ctx.examined)
+			case p.run:
+				base = filterSlots(ctx, p.kid, p.kid.intersectPostings(ctx, base))
 			default:
-				base = filterSlots(ctx, kid, base)
+				base = filterSlots(ctx, p.kid, base)
 			}
 		}
 		return base
@@ -445,20 +436,55 @@ func (c *cplan) exec(ctx *execCtx) []int32 {
 		for _, kid := range c.kids {
 			union = append(union, kid.exec(ctx)...)
 		}
+		ctx.examined += len(union)
 		slices.Sort(union)
 		return dedupSorted(union)
 	}
 	return nil
 }
 
-// intersectPostings intersects the posting lists of a sequence-run node's
-// members (cell postings for kThrough, region postings for
-// kThroughRegions), shortest-first. The result may alias the shortest
-// member's live posting list.
+// pricedKid is one And child with its estimate, computed once per shard
+// execution.
+type pricedKid struct {
+	kid *cplan
+	est int
+	run bool // a sequence-run child (kThrough, kThroughRegions)
+}
+
+// conjunctOrder returns the And node's children in execution order. The
+// cheap children (posting lists, zone-priced windows, nested plans) come
+// first in ascending-estimate order: the smallest materialises the
+// candidate set and the rest narrow it by intersection or per-slot tests.
+// The sequence-run children go last, also by estimate: each narrows the
+// candidates by its member postings, then run-checks only the survivors.
+//
+//sitm:locked
+func (c *cplan) conjunctOrder(sh *shard) []pricedKid {
+	order := make([]pricedKid, len(c.kids))
+	for i, kid := range c.kids {
+		order[i] = pricedKid{kid, kid.estimate(sh), kid.kind == kThrough || kid.kind == kThroughRegions}
+	}
+	slices.SortStableFunc(order, func(a, b pricedKid) int {
+		if a.run != b.run {
+			if a.run {
+				return 1
+			}
+			return -1
+		}
+		return cmp.Compare(a.est, b.est)
+	})
+	return order
+}
+
+// intersectPostings narrows cand by the posting lists of a sequence-run
+// node's members (cell postings for kThrough, region postings for
+// kThroughRegions), shortest first; a nil cand starts from the shortest
+// posting. The result may alias that posting list.
 //
 //sitm:locked
 //sitm:aliases
-func (c *cplan) intersectPostings(sh *shard) []int32 {
+func (c *cplan) intersectPostings(ctx *execCtx, cand []int32) []int32 {
+	sh := ctx.sh
 	var lists [][]int32
 	switch c.kind {
 	case kThrough:
@@ -471,19 +497,22 @@ func (c *cplan) intersectPostings(sh *shard) []int32 {
 		}
 	}
 	sort.SliceStable(lists, func(i, j int) bool { return len(lists[i]) < len(lists[j]) })
-	base := lists[0]
-	for _, l := range lists[1:] {
-		if len(base) == 0 {
+	if cand == nil {
+		cand, lists = lists[0], lists[1:]
+	}
+	for _, l := range lists {
+		if len(cand) == 0 {
 			return nil
 		}
-		base = intersectSorted(base, l)
+		cand = intersectSorted(cand, l, &ctx.examined)
 	}
-	return base
+	return cand
 }
 
 // filterSlots keeps the slots passing the node's per-slot test, always
 // into a fresh slice (the input may alias a live posting list).
 func filterSlots(ctx *execCtx, c *cplan, slots []int32) []int32 {
+	ctx.examined += len(slots)
 	var out []int32
 	for _, slot := range slots {
 		if c.test(ctx, slot) {

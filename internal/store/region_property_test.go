@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -219,58 +220,168 @@ func randomQuery(rng *rand.Rand, depth int) Query {
 }
 
 // TestCompiledRegionPlansMatchOracle is the acceptance property: for every
-// randomized composed query, Select/SelectMOs on stores with 1, 2 and 8
-// shards are bit-equal to the expand-to-leaf string-scan oracle, at
-// GOMAXPROCS 1 and 8.
+// randomized composed query, Select/SelectMOs are bit-equal to the
+// expand-to-leaf string-scan oracle, at GOMAXPROCS 1 and 8, with zone
+// pruning on and off, and under every permutation of each And's children.
+// Two corpora are checked. A small one in random order, in memory at 1, 2
+// and 8 shards, is one zone per shard. A time-ordered one on durable
+// stores at 1, 2 and 8 shards (or the -shards count alone), two thirds
+// checkpointed in 16-row blocks and the rest a live tail of 16-row zones,
+// has many zones: a time window there is priced by the few zones it
+// touches and drives its conjunction, and the few candidates of two rare
+// MOs are intersected with long postings.
 func TestCompiledRegionPlansMatchOracle(t *testing.T) {
 	rt := queryModel(t)
+	zoneShards := []int{1, 2, 8}
+	if *shardFlag > 0 {
+		zoneShards = []int{*shardFlag}
+	}
 	for _, procs := range []int{1, 8} {
 		t.Run(fmt.Sprintf("gomaxprocs=%d", procs), func(t *testing.T) {
 			prev := runtime.GOMAXPROCS(procs)
 			defer runtime.GOMAXPROCS(prev)
 			for seed := int64(0); seed < 4; seed++ {
 				rng := rand.New(rand.NewSource(seed))
-				trajs := randomCorpusTrajs(rng, 60+rng.Intn(60))
+				small := oracleCorpus{name: "in-memory", trajs: randomCorpusTrajs(rng, 60+rng.Intn(60))}
 				var chunks []int
-				for c := 0; c < len(trajs); {
+				for c := 0; c < len(small.trajs); {
 					n := 1 + rng.Intn(9)
 					chunks = append(chunks, n)
 					c += n
 				}
-				stores := make([]*Store, 0, 3)
 				for _, shards := range []int{1, 2, 8} {
 					st := NewSharded(shards)
 					st.AttachRegions(rt)
-					applySchedule(st, trajs, chunks)
-					stores = append(stores, st)
+					applySchedule(st, small.trajs, chunks)
+					small.stores = append(small.stores, st)
 				}
-				qrng := rand.New(rand.NewSource(seed ^ 0x7e57))
-				for probe := 0; probe < 60; probe++ {
-					q := randomQuery(qrng, 2)
-					want := trajSig(oracleSelect(trajs, q, rt))
-					wantMOs := fmt.Sprint(oracleSelectMOs(trajs, q, rt))
-					for i, st := range stores {
-						got, err := st.Select(q)
-						if err != nil {
-							t.Fatalf("seed %d probe %d shards-case %d: Select: %v", seed, probe, i, err)
-						}
-						if sig := trajSig(got); sig != want {
-							t.Fatalf("seed %d probe %d shards-case %d query %#v:\ncompiled %s\noracle   %s",
-								seed, probe, i, q, sig, want)
-						}
-						gotMOs, err := st.SelectMOs(q)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if sig := fmt.Sprint(gotMOs); sig != wantMOs {
-							t.Fatalf("seed %d probe %d shards-case %d SelectMOs: %s vs %s",
-								seed, probe, i, sig, wantMOs)
+				corpora := []oracleCorpus{small}
+				if seed < 2 {
+					corpora = append(corpora, zonedCorpus(t, rng, rt, zoneShards))
+				}
+				for _, cp := range corpora {
+					qrng := rand.New(rand.NewSource(seed ^ 0x7e57))
+					for probe := 0; probe < 60; probe++ {
+						q := randomQuery(qrng, 2)
+						want := trajSig(oracleSelect(cp.trajs, q, rt))
+						wantMOs := fmt.Sprint(oracleSelectMOs(cp.trajs, q, rt))
+						for i, st := range cp.stores {
+							for _, noPrune := range []bool{false, true} {
+								st.noPrune = noPrune
+								for v, pq := range andPermutations(q) {
+									at := fmt.Sprintf("seed %d %s probe %d shards-case %d variant %d (noPrune=%v)",
+										seed, cp.name, probe, i, v, noPrune)
+									got, err := st.Select(pq)
+									if err != nil {
+										t.Fatalf("%s: Select: %v", at, err)
+									}
+									if sig := trajSig(got); sig != want {
+										t.Fatalf("%s query %#v:\ncompiled %s\noracle   %s", at, pq, sig, want)
+									}
+									gotMOs, err := st.SelectMOs(pq)
+									if err != nil {
+										t.Fatal(err)
+									}
+									if sig := fmt.Sprint(gotMOs); sig != wantMOs {
+										t.Fatalf("%s SelectMOs: %s vs %s", at, sig, wantMOs)
+									}
+								}
+							}
+							st.noPrune = false
 						}
 					}
 				}
 			}
 		})
 	}
+}
+
+// oracleCorpus is one corpus of TestCompiledRegionPlansMatchOracle and
+// the stores that hold it.
+type oracleCorpus struct {
+	name   string
+	trajs  []core.Trajectory
+	stores []*Store
+}
+
+// zonedCorpus builds the many-zone corpus of
+// TestCompiledRegionPlansMatchOracle: 600 random trajectories in start
+// order, mo00 and mo01 made rare, on one durable store per shard count.
+func zonedCorpus(t *testing.T, rng *rand.Rand, rt *indoor.RegionTable, shardCounts []int) (cp oracleCorpus) {
+	t.Helper()
+	cp.name = "durable many-zone"
+	cp.trajs = randomCorpusTrajs(rng, 600)
+	for i := range cp.trajs {
+		if (cp.trajs[i].MO == "mo00" || cp.trajs[i].MO == "mo01") && rng.Intn(8) != 0 {
+			cp.trajs[i].MO = fmt.Sprintf("mo%02d", 2+rng.Intn(12))
+		}
+	}
+	slices.SortStableFunc(cp.trajs, func(a, b core.Trajectory) int { return a.Start().Compare(b.Start()) })
+	for _, shards := range shardCounts {
+		dir := t.TempDir()
+		withBlockRows(16, func() {
+			w := mustOpen(t, dir, Options{Shards: shards})
+			w.PutBatch(cp.trajs[:400])
+			if err := w.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			mustClose(t, w)
+			s := mustOpen(t, dir, Options{})
+			t.Cleanup(func() { mustClose(t, s) })
+			applySchedule(s, cp.trajs[400:], []int{1, 7, 3, 40, 1, 9})
+			s.AttachRegions(rt)
+			cp.stores = append(cp.stores, s)
+		})
+	}
+	return cp
+}
+
+// andPermutations returns q followed by every variant of q that reorders
+// the children of one of its And nodes: each And in turn takes every
+// permutation of its children while the rest of the plan stays fixed.
+func andPermutations(q Query) []Query {
+	out := []Query{q}
+	var kids []Query
+	rebuild := And
+	switch n := q.(type) {
+	case andQ:
+		kids = n.kids
+	case orQ:
+		kids, rebuild = n.kids, Or
+	default:
+		return out
+	}
+	for i, kid := range kids {
+		for _, v := range andPermutations(kid)[1:] {
+			k := slices.Clone(kids)
+			k[i] = v
+			out = append(out, rebuild(k...))
+		}
+	}
+	if _, ok := q.(andQ); ok {
+		for _, p := range permutations(len(kids))[1:] {
+			k := make([]Query, len(kids))
+			for i, j := range p {
+				k[i] = kids[j]
+			}
+			out = append(out, And(k...))
+		}
+	}
+	return out
+}
+
+// permutations returns every ordering of 0..n-1, the identity first.
+func permutations(n int) [][]int {
+	if n == 0 {
+		return [][]int{{}}
+	}
+	var out [][]int
+	for _, p := range permutations(n - 1) {
+		for pos := len(p); pos >= 0; pos-- {
+			out = append(out, slices.Insert(slices.Clone(p), pos, n-1))
+		}
+	}
+	return out
 }
 
 // TestRegionPlansAfterAttachEqualAttachBeforeIngest: postings built by the

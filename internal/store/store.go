@@ -482,10 +482,28 @@ func (s *Store) ThroughSequence(cells ...string) []core.Trajectory {
 	return out
 }
 
-// intersectSorted merges two ascending posting lists.
+// intersectSorted intersects two ascending duplicate-free slot lists into a
+// fresh slice, never an alias of either input. The longer list is first
+// trimmed by binary search to the shorter one's [first, last] range, so
+// its entries outside that range are never visited; what is left merges
+// in O(m + n') for the m entries of the shorter list and the n' of the
+// trimmed one. The entries the merge visits are added to *work (the
+// trim's two binary searches are not counted).
 //
 //sitm:hotpath
-func intersectSorted(a, b []int32) []int32 {
+func intersectSorted(a, b []int32, work *int) []int32 {
+	if len(a) > len(b) {
+		a, b = b, a
+	}
+	if len(a) == 0 {
+		return nil
+	}
+	lo, _ := slices.BinarySearch(b, a[0])
+	hi, found := slices.BinarySearch(b[lo:], a[len(a)-1]) // not last+1: it overflows at MaxInt32
+	if found {
+		hi++
+	}
+	b = b[lo : lo+hi]
 	var out []int32
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
@@ -500,6 +518,7 @@ func intersectSorted(a, b []int32) []int32 {
 			j++
 		}
 	}
+	*work += i + j
 	return out
 }
 
