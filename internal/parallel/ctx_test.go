@@ -3,6 +3,8 @@ package parallel
 import (
 	"context"
 	"errors"
+	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 )
@@ -71,4 +73,54 @@ func TestForEachCtxPanicPropagates(t *testing.T) {
 		}
 	})
 	t.Fatal("ForEachCtx returned instead of panicking")
+}
+
+// goroutineID returns the running goroutine's id from its stack header
+// ("goroutine 7 [running]:").
+func goroutineID() string {
+	buf := make([]byte, 64)
+	buf = buf[:runtime.Stack(buf, false)]
+	return strings.Fields(string(buf))[1]
+}
+
+func TestForEachCtxPanicInCallerShare(t *testing.T) {
+	// The calling goroutine runs one worker's share. Its panic must reach
+	// the caller exactly once, and only after every pool goroutine has
+	// stopped calling fn. The other workers wait inside their first index
+	// until the caller's share has started, so the caller always gets a
+	// chunk to panic in.
+	caller := goroutineID()
+	started := make(chan struct{})
+	var inFlight, callerCalls atomic.Int32
+	recovered := 0
+	func() {
+		defer func() {
+			if r := recover(); r != nil {
+				if r != "caller share" {
+					t.Fatalf("recover = %v, want the caller share's panic", r)
+				}
+				recovered++
+			}
+		}()
+		_ = forEach(context.Background(), 1000, 4, func(i int) {
+			inFlight.Add(1)
+			defer inFlight.Add(-1)
+			if goroutineID() == caller {
+				callerCalls.Add(1)
+				close(started)
+				panic("caller share")
+			}
+			<-started
+		})
+		t.Fatal("forEach returned instead of panicking")
+	}()
+	if recovered != 1 {
+		t.Fatalf("panic reached the caller %d times, want 1", recovered)
+	}
+	if n := callerCalls.Load(); n != 1 {
+		t.Fatalf("caller share ran %d indexes, want 1 (it panics on its first)", n)
+	}
+	if n := inFlight.Load(); n != 0 {
+		t.Fatalf("%d fn calls still running after the panic reached the caller", n)
+	}
 }

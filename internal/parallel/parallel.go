@@ -100,34 +100,42 @@ func forEach(ctx context.Context, n, workers int, fn func(i int)) error {
 	var next atomic.Int64
 	var stopped atomic.Bool
 	var panicked atomic.Pointer[workerPanic]
+	work := func() {
+		defer capturePanic(&next, int64(n)+int64(chunk), &panicked)
+		for {
+			lo := int(next.Add(int64(chunk))) - chunk
+			if lo >= n {
+				return
+			}
+			if ctx.Err() != nil {
+				// Give the chunk back conceptually: record that work
+				// was skipped and let every worker drain out.
+				stopped.Store(true)
+				next.Store(int64(n) + int64(chunk))
+				return
+			}
+			hi := lo + chunk
+			if hi > n {
+				hi = n
+			}
+			for i := lo; i < hi; i++ {
+				fn(i)
+			}
+		}
+	}
+	// The calling goroutine is one of the w workers: it would otherwise
+	// only park in Wait, so a two-shard query starts one goroutine, not
+	// two. Its share captures panics like the others', so a panic is
+	// re-raised only after every worker has stopped.
 	var wg sync.WaitGroup
-	wg.Add(w)
-	for g := 0; g < w; g++ {
+	wg.Add(w - 1)
+	for g := 1; g < w; g++ {
 		go func() {
 			defer wg.Done()
-			defer capturePanic(&next, int64(n)+int64(chunk), &panicked)
-			for {
-				lo := int(next.Add(int64(chunk))) - chunk
-				if lo >= n {
-					return
-				}
-				if ctx.Err() != nil {
-					// Give the chunk back conceptually: record that work
-					// was skipped and let every worker drain out.
-					stopped.Store(true)
-					next.Store(int64(n) + int64(chunk))
-					return
-				}
-				hi := lo + chunk
-				if hi > n {
-					hi = n
-				}
-				for i := lo; i < hi; i++ {
-					fn(i)
-				}
-			}
+			work()
 		}()
 	}
+	work()
 	wg.Wait()
 	if p := panicked.Load(); p != nil {
 		panic(p.val)

@@ -35,32 +35,25 @@ func newPlanCache(max int) *planCache {
 
 // get returns the cached plan for fp if present and still valid for st.
 // Stale entries are dropped (counted as invalidations) so the caller
-// recompiles and re-puts.
+// recompiles and re-puts. The lookup, the validity check and the counter
+// update are one critical section, so a hit locks once. Valid only reads
+// the store's snapshot pointers under their own locks, which are never
+// held while taking this one.
 func (c *planCache) get(st *store.Store, fp string) *store.CompiledQuery {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	e := c.entries[fp]
-	c.mu.Unlock()
-	if e == nil {
-		c.mu.Lock()
+	switch {
+	case e == nil:
 		c.misses++
-		c.mu.Unlock()
 		return nil
-	}
-	// Validity is checked outside the cache lock: it reads the store's
-	// snapshot pointers, which have their own synchronization.
-	if !e.Valid(st) {
-		c.mu.Lock()
-		if c.entries[fp] == e {
-			delete(c.entries, fp)
-		}
+	case !e.Valid(st):
+		delete(c.entries, fp)
 		c.invalidations++
 		c.misses++
-		c.mu.Unlock()
 		return nil
 	}
-	c.mu.Lock()
 	c.hits++
-	c.mu.Unlock()
 	return e
 }
 

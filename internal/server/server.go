@@ -182,22 +182,12 @@ func (s *Server) deadline(r *http.Request) time.Duration {
 	return time.Duration(ms) * time.Millisecond
 }
 
-// queryRequest is the body of POST /v1/query; writeQueryReply (encode.go)
-// writes its reply.
-type queryRequest struct {
-	Query   json.RawMessage `json:"query"`
-	MOsOnly bool            `json:"mos_only"`
-}
-
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) *apiError {
-	var req queryRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
+	body, err := readQueryBody(r.Body)
+	if err != nil {
 		return errBadRequest("body: %v", err)
 	}
-	if len(req.Query) == 0 {
-		return errBadRequest("missing \"query\"")
-	}
-	q, fp, err := decodeQuery(req.Query)
+	req, err := decodeRequest(body)
 	if err != nil {
 		return errBadRequest("%v", err)
 	}
@@ -210,14 +200,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) *apiError {
 		}
 	}
 
-	cq, cached, aerr := s.plan(q, fp)
+	cq, cached, aerr := s.plan(req.query, req.fp)
 	if aerr != nil {
 		return aerr
 	}
 
 	var mos []string
 	var rows *store.Rows
-	if req.MOsOnly {
+	if req.mosOnly {
 		mos, err = s.st.SelectMOsCompiledCtx(r.Context(), cq)
 	} else {
 		rows, err = s.st.SelectRowsCompiledCtx(r.Context(), cq)

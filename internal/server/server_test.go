@@ -2,10 +2,13 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -216,6 +219,52 @@ func TestPlanCacheHitAndInvalidation(t *testing.T) {
 	postJSON(t, ts.URL+"/v1/query", "application/json", futureQ, &found)
 	if found.Count != 1 || found.MOs[0] != "mo-9" {
 		t.Fatalf("stale empty plan served after symbol arrived: %+v", found)
+	}
+}
+
+func TestPlanCacheCountersExactUnderConcurrentClients(t *testing.T) {
+	// Concurrent clients share a few fingerprints while a writer rotates
+	// the dictionary snapshots under them: every reply's cached flag must
+	// be one hit or one miss in /v1/stats, with nothing lost or doubled.
+	_, ts := newTestServer(t, store.NewSharded(2), Config{})
+	postJSON(t, ts.URL+"/v1/ingest", "text/csv", seedCSV, nil)
+	plans := []string{
+		`{"query": {"cell": "hall"}, "mos_only": true}`,
+		`{"query": {"by_mo": "mo-1"}, "mos_only": true}`,
+		`{"query": {"and": [{"cell": "hall"}, {"cell": "atrium"}]}}`,
+	}
+	const clients, perClient = 6, 40
+	var hits, misses atomic.Int64
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perClient; i++ {
+				var qr queryResponse
+				if code, env := postJSON(t, ts.URL+"/v1/query", "application/json", plans[(c+i)%len(plans)], &qr); code != 200 {
+					t.Errorf("query status %d: %+v", code, env)
+					return
+				}
+				if qr.Cached {
+					hits.Add(1)
+				} else {
+					misses.Add(1)
+				}
+			}
+		}()
+	}
+	for i := 0; i < 5; i++ {
+		csv := fmt.Sprintf("mo,cell,start,end\nmo-w%d,room-%d,2019-05-02T10:00:00Z,2019-05-02T10:05:00Z\n", i, i)
+		postJSON(t, ts.URL+"/v1/ingest", "text/csv", csv, nil)
+	}
+	wg.Wait()
+	st := getStats(t, ts.URL).PlanCache
+	if st.Hits != hits.Load() || st.Misses != misses.Load() {
+		t.Fatalf("plan cache counted %d hits / %d misses, replies said %d / %d", st.Hits, st.Misses, hits.Load(), misses.Load())
+	}
+	if st.Hits+st.Misses != clients*perClient || st.Invalidations > st.Misses {
+		t.Fatalf("plan cache stats %+v over %d queries", st, clients*perClient)
 	}
 }
 

@@ -1417,17 +1417,18 @@ func (sh *shard) windowRows(fromN, toN int64) int {
 // zoneSlots answers a kTime or kCellDuring node in one shard with a single
 // prune loop over every zone, checkpointed and live alike: a zone
 // disjoint from the window (or, for kCellDuring, whose bloom lacks the
-// cell) is skipped without touching its rows; a zone the window covers
-// contributes every slot to kTime; any other zone is tested slot by slot
-// — kCellDuring takes candidates from the exact cell posting list and
-// checks a slot's span columns before walking its trace, so a checkpointed
-// block's columns are decoded only when one of its candidates can match. Zones are
-// in slot order, so the result is ascending with no sort. Window edges
-// saturate to the int64 nanosecond range (cplan.fromN, toN); per-slot
-// span tests compare nanos and stay exact (see shard.spanOverlaps), and so
-// do a block row's interval tests (blockCols.cellDuring); a live row's
-// compare its exact times. Store.noPrune turns every zone into a
-// slot-by-slot zone (the property-test oracle).
+// cell) is skipped without touching its rows or, for kCellDuring, its
+// posting; a zone the window covers contributes every slot to kTime; any
+// other zone is tested slot by slot — kCellDuring binary-searches the
+// exact cell posting for the zone's candidates and checks a slot's span
+// columns before walking its trace, so a checkpointed block's columns are
+// decoded only when one of its candidates can match. Zones are in slot
+// order, so the result is ascending with no sort. Window edges saturate
+// to the int64 nanosecond range (cplan.fromN, toN); per-slot span tests
+// compare nanos and stay exact (see shard.spanOverlaps), and so do a
+// block row's interval tests (blockCols.cellDuring); a live row's compare
+// its exact times. Store.noPrune turns every zone into a slot-by-slot
+// zone (the property-test oracle).
 //
 //sitm:locked
 func (c *cplan) zoneSlots(ctx *execCtx) []int32 {
@@ -1447,10 +1448,10 @@ func (c *cplan) zoneSlots(ctx *execCtx) []int32 {
 	}
 	var slots []int32
 	for i := 0; i < nBlocks+len(sh.zones); i++ {
-		if cellQ && len(post) == 0 {
-			break
-		}
 		base, z := sh.zone(i)
+		if cellQ && (len(post) == 0 || post[len(post)-1] < base) {
+			break // no candidate left in this zone or any later one
+		}
 		last := base + z.rows
 		if !cellQ {
 			if prune && z.timeDisjoint(fromN, toN) {
@@ -1480,10 +1481,19 @@ func (c *cplan) zoneSlots(ctx *execCtx) []int32 {
 			}
 			continue
 		}
+		if prune && (!z.bloomHas(c.id) || z.timeDisjoint(fromN, toN)) {
+			continue
+		}
+		// Only an admitted zone searches the posting: first past the
+		// slots of the zones skipped since the last search, then to the
+		// zone's end.
+		ctx.probedZones++
+		lo, _ := slices.BinarySearch(post, base)
+		post = post[lo:]
 		k, _ := slices.BinarySearch(post, last)
 		cand := post[:k]
 		post = post[k:]
-		if len(cand) == 0 || prune && (!z.bloomHas(c.id) || z.timeDisjoint(fromN, toN)) {
+		if len(cand) == 0 {
 			continue
 		}
 		ctx.scannedZones++

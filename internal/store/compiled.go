@@ -3,7 +3,6 @@ package store
 import (
 	"context"
 	"slices"
-	"sort"
 
 	"sitm/internal/core"
 	"sitm/internal/indoor"
@@ -162,33 +161,29 @@ func (s *Store) selectTrajs(ctx context.Context, plan *cplan) ([]core.Trajectory
 }
 
 // selectMOsPlan is the one moving-object executor of every SelectMOs
-// entry point: each shard collects the distinct MOs of its matches, and
-// since MOs never span shards the sets union without cross-shard dedup.
+// entry point: each shard maps the MOs of its matches to their rank in the
+// MO dictionary (symRank) and sorts and compacts those integer keys; since
+// MOs never span shards the sets union without cross-shard dedup, and only
+// the distinct MOs returned are decoded.
 func (s *Store) selectMOsPlan(ctx context.Context, plan *cplan) ([]string, error) {
+	rank := s.moRank.table(s.mos.Freeze())
 	per := make([][]int32, len(s.shards))
 	err := parallel.ForEachCtx(ctx, len(s.shards), func(i int) {
 		sh := &s.shards[i]
 		sh.mu.RLock()
 		ectx := execCtx{s: s, sh: sh}
 		slots := plan.exec(&ectx)
-		mos := make([]int32, len(slots))
+		keys := make([]int32, len(slots))
 		for j, slot := range slots {
-			mos[j] = sh.moIDs[slot]
+			keys[j] = rank.key(sh.moIDs[slot])
 		}
 		sh.mu.RUnlock()
-		slices.Sort(mos)
-		per[i] = slices.Compact(mos)
+		slices.Sort(keys)
+		per[i] = slices.Compact(keys)
 	})
 	if err != nil {
 		return nil, err
 	}
-	var out []string
-	snap := s.mos.Freeze() // lock-free Symbol decode of the result batch
-	for _, ids := range per {
-		for _, mo := range ids {
-			out = append(out, snap.Symbol(mo))
-		}
-	}
-	sort.Strings(out)
-	return out, nil
+	// A snapshot taken after every shard ran covers each MO they matched.
+	return rank.symbols(s.mos.Freeze(), per), nil
 }

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"sitm/internal/core"
+	"sitm/internal/indoor"
 )
 
 // planExamined runs q in every shard of s and returns the slots and
@@ -88,9 +89,8 @@ func (w windowZones) inRange(post []int32) int {
 	return n
 }
 
-// TestConjunctPlansExamineOnlyWindowZones: over a time-ordered store of
-// 48 days (two checkpointed generations of 32-row blocks plus a live
-// tail), a one-day window prices itself by the zones it touches and so
+// TestConjunctPlansExamineOnlyWindowZones: over a time-ordered store
+// (timeOrderedZoneStore), a one-day window prices itself by the zones it touches and so
 // drives the conjunction:
 //   - And(Region(west), TimeOverlap(day)) examines at most twice the rows
 //     of the zones the window touches (their slot tests, then the
@@ -103,7 +103,12 @@ func (w windowZones) inRange(post []int32) int {
 // A plan that lets the region posting drive and time-tests every slot of
 // it, or that intersects the run's full member postings first, examines
 // several times these bounds.
-func TestConjunctPlansExamineOnlyWindowZones(t *testing.T) {
+// timeOrderedZoneStore returns a time-ordered store of 48 days: two
+// checkpointed generations of 32-row blocks plus a live tail, with the
+// query model's regions attached, and the trajectories it holds in
+// insertion order.
+func timeOrderedZoneStore(t *testing.T) (*Store, []core.Trajectory, *indoor.RegionTable) {
+	t.Helper()
 	shards := zoneTestShards()
 	rt := queryModel(t)
 	rng := rand.New(rand.NewSource(71))
@@ -127,11 +132,16 @@ func TestConjunctPlansExamineOnlyWindowZones(t *testing.T) {
 		s = mustOpen(t, dir, Options{})
 		s.PutBatch(trajs[len(trajs)*7/10:])
 	})
-	defer mustClose(t, s)
+	t.Cleanup(func() { mustClose(t, s) })
 	s.AttachRegions(rt)
 	if s.shards[0].blk == nil || len(s.shards[0].zones) == 0 {
 		t.Fatal("the store must hold both checkpointed blocks and live zones")
 	}
+	return s, trajs, rt
+}
+
+func TestConjunctPlansExamineOnlyWindowZones(t *testing.T) {
+	s, trajs, rt := timeOrderedZoneStore(t)
 
 	// One day inside each generation and one inside the live tail.
 	for _, at := range []int{len(trajs) / 5, len(trajs) * 11 / 20, len(trajs) * 17 / 20} {
@@ -188,5 +198,68 @@ func TestConjunctPlansExamineOnlyWindowZones(t *testing.T) {
 		} else {
 			t.Logf("day %s: And(Through%v, TimeOverlap) examined %d, bound %d", from.Format(time.DateOnly), run, n, runBound)
 		}
+	}
+}
+
+// TestCellDuringProbesOnlyAdmittedZones: over the same time-ordered
+// store, a one-hour CellDuring searches its cell's posting only in the
+// zones whose rows' extents meet the window and whose bloom admits the
+// cell, a few of the hundreds the posting spans. Searching the posting
+// for every zone before pruning probes nearly all of them.
+func TestCellDuringProbesOnlyAdmittedZones(t *testing.T) {
+	s, trajs, _ := timeOrderedZoneStore(t)
+	for _, at := range []int{len(trajs) / 5, len(trajs) * 11 / 20, len(trajs) * 17 / 20} {
+		tr := trajs[at]
+		cell := tr.Trace[0].Cell
+		from := tr.Trace[0].Start.Truncate(time.Hour)
+		to := from.Add(time.Hour)
+		fromN, toN := from.UnixNano(), to.UnixNano()
+		q := CellDuring(cell, from, to)
+		got, err := s.Select(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := oracleSelect(trajs, q, nil); len(want) == 0 || fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%#v answers %d rows, oracle %d (and must match some)", q, len(got), len(want))
+		}
+
+		cq, err := s.Compile(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		probed, admitted, spanned := 0, 0, 0
+		for i := range s.shards {
+			sh := &s.shards[i]
+			sh.mu.RLock()
+			ctx := execCtx{s: s, sh: sh}
+			cq.plan.exec(&ctx)
+			probed += ctx.probedZones
+			id, _ := s.cells.Lookup(cell)
+			post := sh.posting(id)
+			n := len(sh.zones)
+			if sh.blk != nil {
+				n += len(sh.blk.blocks)
+			}
+			for z := 0; z < n; z++ {
+				base, zm := sh.zone(z)
+				last := base + zm.rows
+				if len(post) > 0 && post[0] < last && post[len(post)-1] >= base {
+					spanned++
+				}
+				minStart, maxEnd := slices.Min(sh.starts[base:last]), slices.Max(sh.ends[base:last])
+				if maxEnd >= fromN && minStart <= toN && zm.bloomHas(id) {
+					admitted++
+				}
+			}
+			sh.mu.RUnlock()
+		}
+		if probed > admitted {
+			t.Fatalf("hour %s: CellDuring(%s) searched its posting in %d zones; the window and bloom admit %d (posting spans %d)",
+				from.Format(time.DateTime), cell, probed, admitted, spanned)
+		}
+		if admitted*4 > spanned {
+			t.Fatalf("hour %s: the window admits %d of the %d zones the posting spans; the store is not time-ordered enough to tell", from.Format(time.DateTime), admitted, spanned)
+		}
+		t.Logf("hour %s: CellDuring(%s) searched the posting in %d zones, %d admitted, posting spans %d", from.Format(time.DateTime), cell, probed, admitted, spanned)
 	}
 }

@@ -279,6 +279,7 @@ type execCtx struct {
 	next         []bool
 	running      *cplan // kThroughRegions node the membership test binds to
 	scannedZones int    // zones tested slot by slot (zoneSlots)
+	probedZones  int    // kCellDuring zones whose posting range was searched
 	// examined counts the slots the plan tests or takes whole from a
 	// covered zone, plus the posting entries its intersections visit and
 	// the entries its unions sort. It leaves out the O(zones) zone walks

@@ -76,6 +76,10 @@ type Store struct {
 	mos   *symtab.SyncDict // moving-object ids → dense int32 ids
 	pairs *symtab.SyncDict // annotation "key\x00value" pairs → dense ids
 
+	// moRank orders MO ids by symbol for SelectMOs replies; readers build
+	// it lazily (rank.go).
+	moRank symRank
+
 	// The attached hierarchy (AttachRegions) plus its dictionary-bound
 	// closure cache, feeding the per-shard region postings and the query
 	// planner (see regions.go, query.go).

@@ -2,8 +2,9 @@ package store
 
 // BenchmarkWriterQueryAfterCheckpoint measures the query path of a
 // writable store whose rows are all checkpointed — the store a read-write
-// sitmd serves /v1/query from between auto-compactions — next to a
-// read-only open of the same directory (the served replica). Rows the
+// sitmd serves /v1/query from after an explicit Checkpoint (the store
+// never checkpoints on its own) — next to a read-only open of the same
+// directory (the served replica). Rows the
 // writer has committed are served from the SITMSEG2 blocks it wrote
 // (DESIGN §3.12), so full-trajectory answers and CellDuring trace checks
 // decode residual blocks through the block cache exactly as the reader's
