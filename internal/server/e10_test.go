@@ -107,7 +107,7 @@ func TestE10OverloadShedding(t *testing.T) {
 		stats.Accepted, stats.Shed, len(stats.AckedKeys), stats.Percentile(99))
 }
 
-// TestE10FsyncFaultNeverAcksUnsynced injects permanent row-WAL fsync
+// TestE10FsyncFaultNeverAcksUnsynced injects permanent WAL fsync
 // failures mid-run: writes after the fault must come back as typed,
 // non-retryable durability errors (503) and never be acknowledged, and
 // after abandoning the wedged process the store must reopen with every
@@ -132,7 +132,7 @@ func TestE10FsyncFaultNeverAcksUnsynced(t *testing.T) {
 	}
 
 	// Phase 2: the disk dies under fsync, forever.
-	inj.Add(faultfs.Fault{Op: faultfs.OpSync, Path: ".row.wal", Err: syscall.EIO})
+	inj.Add(faultfs.Fault{Op: faultfs.OpSync, Path: ".wal", Err: syscall.EIO})
 
 	code, env := postJSON(t, ts.URL+"/v1/ingest", "text/csv",
 		"mo,cell,start,end\nunacked-1,hall,2019-05-01T11:00:00Z,2019-05-01T11:05:00Z\n", nil)

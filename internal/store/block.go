@@ -306,15 +306,6 @@ func (d *rowDecoder) localID(limit int) int {
 	return int(v)
 }
 
-// localStr resolves one block-local string id.
-func (d *rowDecoder) localStr(dict []string) string {
-	i := d.localID(len(dict))
-	if d.err != nil {
-		return ""
-	}
-	return dict[i]
-}
-
 // deltaDict decodes a strictly ascending id dictionary (count, first id,
 // then positive gaps), validating every id against limit.
 func (d *rowDecoder) deltaDict(limit int) []int32 {
@@ -337,7 +328,7 @@ func (d *rowDecoder) deltaDict(limit int) []int32 {
 			v += prev
 		}
 		if v >= uint64(limit) {
-			d.failStale(fmt.Sprintf("id %d beyond dictionary size %d", v, limit))
+			d.fail(fmt.Sprintf("id %d beyond dictionary size %d", v, limit))
 			return nil
 		}
 		out[i] = int32(v)
@@ -378,36 +369,6 @@ func appendLocalAnnotations(dst []byte, a core.Annotations, intern func(string) 
 		}
 	}
 	return dst
-}
-
-// localAnnotations decodes an annotation map encoded by
-// appendLocalAnnotations, resolving ids through the block's string dict.
-func (d *rowDecoder) localAnnotations(dict []string) core.Annotations {
-	flag := d.count(1)
-	if d.err != nil || flag == 0 {
-		return nil
-	}
-	nKeys := flag - 1
-	a := make(core.Annotations, nKeys)
-	for i := 0; i < nKeys; i++ {
-		k := d.localStr(dict)
-		nVals := d.count(1)
-		if d.err != nil {
-			return nil
-		}
-		var vs []string
-		if nVals > 0 {
-			vs = make([]string, nVals)
-			for j := range vs {
-				vs[j] = d.localStr(dict)
-			}
-		}
-		a[k] = vs
-	}
-	if d.err != nil {
-		return nil
-	}
-	return a
 }
 
 // skipLocalAnn validates an annotation map's structure and ids without
@@ -699,13 +660,8 @@ type segHeader struct {
 
 // parseSegHeader checks a block-structured segment's magic and header
 // checksum and parses the header, without touching a block: the blocks'
-// row counts must sum to the segment's. A segment in the retired
-// monolithic format fails with an error that names it and the way to
-// upgrade its directory.
+// row counts must sum to the segment's.
 func parseSegHeader(data []byte, path string) (*segHeader, error) {
-	if len(data) >= len(segMagicV1) && string(data[:len(segMagicV1)]) == segMagicV1 {
-		return nil, fmt.Errorf("store: segment %s is in the retired %s format: open and checkpoint its directory with an earlier build (sitm compact), or re-ingest its rows", path, segMagicV1)
-	}
 	ml := len(segMagicV2)
 	if len(data) < ml+1 || string(data[:ml]) != segMagicV2 {
 		return nil, fmt.Errorf("store: %s: bad or missing %s header", path, segMagicV2)
@@ -911,7 +867,7 @@ func (sh *shard) decodeBlockColumns(payload []byte, z *zoneMap, cellLimit, moLim
 				break
 			}
 			if id >= uint64(moLimit) {
-				d.failStale(fmt.Sprintf("mo id %d beyond dictionary size %d", id, moLimit))
+				d.fail(fmt.Sprintf("mo id %d beyond dictionary size %d", id, moLimit))
 				break
 			}
 			if runLen == 0 || got+int(runLen) > rows {
@@ -930,7 +886,7 @@ func (sh *shard) decodeBlockColumns(payload []byte, z *zoneMap, cellLimit, moLim
 		for i := 0; i < rows && d.err == nil; i++ {
 			id := d.uvarint()
 			if d.err == nil && id >= uint64(moLimit) {
-				d.failStale(fmt.Sprintf("mo id %d beyond dictionary size %d", id, moLimit))
+				d.fail(fmt.Sprintf("mo id %d beyond dictionary size %d", id, moLimit))
 				break
 			}
 			sh.moIDs = append(sh.moIDs, int32(id))

@@ -10,8 +10,6 @@ package store
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
-	"maps"
 	"math/rand"
 	"os"
 	"runtime"
@@ -410,36 +408,15 @@ func TestBlockCacheClockOrder(t *testing.T) {
 	}
 }
 
-// TestV1SegmentRejected: a directory whose segments were written by the
-// retired monolithic encoder fails read-only and writable Open and
-// InspectDir with an error that names the segment file and the way to
-// upgrade it — once, not once per shard — and every attempt leaves the
-// directory byte-identical.
+// TestV1SegmentRejected: a directory the retired monolithic encoder wrote
+// (a version-1 manifest over SITMSEG1 segments) fails read-only and
+// writable Open and InspectDir with the manifest's error, and every
+// attempt leaves the directory byte-identical.
 func TestV1SegmentRejected(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	dir := t.TempDir()
 	writeLegacySegmentDir(t, dir, richCorpusTrajs(rng, 250), 2)
-	before := dirBytes(t, dir)
-	seg := segPath(dir, 1, 0)
-	check := func(what string, err error) {
-		t.Helper()
-		if err == nil {
-			t.Fatalf("%s of a %s directory succeeded", what, segMagicV1)
-		}
-		for _, want := range []string{seg, "retired " + segMagicV1, "earlier build"} {
-			if n := strings.Count(err.Error(), want); n != 1 {
-				t.Fatalf("%s: error %q mentions %q %d times, want once", what, err, want, n)
-			}
-		}
-		if !maps.Equal(dirBytes(t, dir), before) {
-			t.Fatalf("%s changed the directory", what)
-		}
-	}
-	_, err := Open(dir, Options{ReadOnly: true})
-	check("read-only Open", err)
-	_, err = Open(dir, Options{})
-	check("writable Open", err)
-	check("InspectDir", InspectDir(dir, io.Discard))
+	checkManifestV1Rejected(t, dir)
 }
 
 // TestAnnSetSortsAndDedupsKeys: an annotation map whose keys a segment

@@ -26,22 +26,11 @@ import (
 type rowDecoder struct {
 	b   []byte
 	err error
-	// stale marks an id-beyond-dictionary failure, distinguishing "this
-	// row's dict deltas never became durable" (a recoverable crash
-	// artifact) from structural corruption (a hard error).
-	stale bool
 }
 
 func (d *rowDecoder) fail(msg string) {
 	if d.err == nil {
 		d.err = fmt.Errorf("store: corrupt record: %s", msg)
-	}
-}
-
-func (d *rowDecoder) failStale(msg string) {
-	if d.err == nil {
-		d.err = fmt.Errorf("store: corrupt record: %s", msg)
-		d.stale = true
 	}
 }
 
@@ -124,7 +113,7 @@ func (d *rowDecoder) ids(limit int) []int32 {
 			return nil
 		}
 		if v >= uint64(limit) {
-			d.failStale(fmt.Sprintf("id %d beyond dictionary size %d", v, limit))
+			d.fail(fmt.Sprintf("id %d beyond dictionary size %d", v, limit))
 			return nil
 		}
 		out[i] = int32(v)
@@ -243,36 +232,27 @@ func (d *rowDecoder) rowResidual(moID int32, enc []int32, cells, mos func(int32)
 }
 
 // decodeRow decodes one WAL row record. cellLimit/moLimit/pairLimit are
-// the current dictionary sizes; an id at or past its limit means the row
-// references symbols whose dict deltas never became durable.
+// the recovered dictionary sizes; an id at or past its limit is
+// corruption, since a row's deltas precede it in the log.
 func decodeRow(payload []byte, cellLimit, moLimit, pairLimit int, cells, mos func(int32) string) (durableRow, error) {
 	d := &rowDecoder{b: payload}
 	row := durableRow{seq: d.uvarint()}
 	mo := d.uvarint()
 	if d.err == nil && mo >= uint64(moLimit) {
-		d.failStale(fmt.Sprintf("mo id %d beyond dictionary size %d", mo, moLimit))
+		d.fail(fmt.Sprintf("mo id %d beyond dictionary size %d", mo, moLimit))
 	}
 	row.moID = int32(mo)
 	row.enc = d.ids(cellLimit)
 	row.ann = d.ids(pairLimit)
 	if d.err != nil {
-		return durableRow{}, d.rowErr()
+		return durableRow{}, d.err
 	}
 	row.traj = d.rowResidual(row.moID, row.enc, cells, mos)
 	if d.err != nil {
-		return durableRow{}, d.rowErr()
+		return durableRow{}, d.err
 	}
 	if len(d.b) != 0 {
 		return durableRow{}, fmt.Errorf("store: corrupt record: %d trailing bytes", len(d.b))
 	}
 	return row, nil
-}
-
-// rowErr returns the decoder's error, tagged errStaleRow when the failure
-// was an id past the recovered dictionaries.
-func (d *rowDecoder) rowErr() error {
-	if d.stale {
-		return fmt.Errorf("%w: %v", errStaleRow, d.err)
-	}
-	return d.err
 }

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io/fs"
 	"math/rand"
@@ -16,7 +17,7 @@ import (
 
 // Crash-recovery property tests: build a durable store put by put while
 // recording the WAL high-water mark after each put, then simulate a crash
-// by truncating a WAL file at arbitrary byte offsets in a copy of the
+// by truncating the WAL at arbitrary byte offsets in a copy of the
 // directory and reopening. The recovered store must be observably
 // identical (WriteJSON bytes and query results) to a fresh in-memory
 // store fed exactly the puts whose frames survived the cut — no more, no
@@ -52,28 +53,38 @@ func copyTree(t *testing.T, src string) string {
 	return dst
 }
 
-// rowWALSize reads shard g's logical row-WAL size (including buffered
-// bytes; Close flushes them, so after Close this is the file size).
-func rowWALSize(s *Store, g int) int64 {
-	rl := &s.dur.rows[g]
-	rl.mu.Lock()
-	defer rl.mu.Unlock()
-	return rl.log.Size()
-}
-
-// dictWALSize reads the logical dict-WAL size.
-func dictWALSize(s *Store) int64 {
+// walSize reads the logical size of the store's current log (including
+// buffered bytes; Close flushes them, so after Close this is the file
+// size).
+func walSize(s *Store) int64 {
 	d := s.dur
-	d.dictMu.Lock()
-	defer d.dictMu.Unlock()
-	return d.dictLog.Size()
+	d.logMu.Lock()
+	defer d.logMu.Unlock()
+	return d.log.Size()
 }
 
-// seedDictsFromWAL replays a probe's (possibly truncated) dict WAL into
-// ref's dictionaries, exactly as recovery will. Symbols whose deltas
-// survived a crash stay interned even when every row referencing them was
-// torn away — that superset is part of the crash contract, so the oracle
-// must carry the same alphabet for Summarize to agree.
+// frameEnds returns the offset just past each frame of the log at path,
+// and each frame's record type.
+func frameEnds(t *testing.T, path string) (ends []int64, types []byte) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for off := 0; off < len(data); {
+		types = append(types, data[off+8])
+		off += 8 + int(binary.LittleEndian.Uint32(data[off:]))
+		ends = append(ends, int64(off))
+	}
+	return ends, types
+}
+
+// seedDictsFromWAL replays the dictionary deltas of a probe's (possibly
+// truncated) log into ref's dictionaries, exactly as recovery will.
+// Symbols whose deltas survived a crash stay interned even when every row
+// referencing them was torn away — that superset is part of the crash
+// contract, so the oracle must carry the same alphabet for Summarize to
+// agree.
 func seedDictsFromWAL(t *testing.T, ref *Store, path string) {
 	t.Helper()
 	dicts := ref.dictKinds()
@@ -91,70 +102,93 @@ func seedDictsFromWAL(t *testing.T, ref *Store, path string) {
 	}
 }
 
+// TestCrashRecoveryTruncatedRowWAL cuts the store's one log at the end
+// of, and inside, every row record; TestCrashRecoveryTruncatedDictWAL does
+// the same for every dictionary-delta record. Between them every frame
+// boundary and a mid-frame offset of every frame is cut.
 func TestCrashRecoveryTruncatedRowWAL(t *testing.T) {
+	crashRecoverWALMatrix(t, recRow)
+}
+
+func TestCrashRecoveryTruncatedDictWAL(t *testing.T) {
+	crashRecoverWALMatrix(t, recDict)
+}
+
+func crashRecoverWALMatrix(t *testing.T, typ byte) {
 	for _, shards := range []int{1, 2, 8} {
 		for _, procs := range []int{1, 8} {
 			t.Run(fmt.Sprintf("shards=%d,procs=%d", shards, procs), func(t *testing.T) {
 				prev := runtime.GOMAXPROCS(procs)
 				defer runtime.GOMAXPROCS(prev)
-				crashRecoverRowWAL(t, shards, int64(100*shards+procs))
+				crashRecoverWAL(t, shards, int64(100*shards+procs), typ)
 			})
 		}
 	}
 }
 
-// crashRecoverRowWAL cuts each shard's row WAL at assorted offsets. The
-// dict WAL stays intact, so the surviving rows of the cut shard are
-// exactly those whose frame lies within the cut; every other shard keeps
-// all of its rows.
-func crashRecoverRowWAL(t *testing.T, shards int, seed int64) {
+// crashRecoverWAL cuts the store's one log at the end of, and at a
+// mid-frame offset inside, every record of type typ — for dictionary
+// deltas that includes the cut between a row's deltas and the row. Every
+// third put interns a fresh moving object and a fresh cell, so deltas
+// keep arriving. A put's row is its batch's last record, so the puts that
+// survive a cut are exactly those whose after-put log size fits under it:
+// a prefix of the puts, since every shard's rows share the one ordered
+// file.
+func crashRecoverWAL(t *testing.T, shards int, seed int64, typ byte) {
 	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(seed))
-	trajs := randomCorpusTrajs(rng, 50)
+	var trajs []core.Trajectory
+	for i, tr := range randomCorpusTrajs(rng, 24) {
+		if i%2 == 0 {
+			trajs = append(trajs, mkTraj(t, fmt.Sprintf("cm%03d", i), "A", fmt.Sprintf("cc%03d", i)))
+		}
+		trajs = append(trajs, tr)
+	}
 
 	s := mustOpen(t, dir, Options{Shards: shards})
-	// sizes[g][i] is shard g's WAL size after the first i puts; index 0 is
-	// the pre-put baseline. Put i's frame survives a cut at c iff
-	// sizes[g][i+1] <= c; the put was routed to g iff the size grew.
-	sizes := make([][]int64, shards)
-	for g := range sizes {
-		sizes[g] = append(sizes[g], rowWALSize(s, g))
-	}
+	// sizes[i] is the log size after the first i puts; index 0 is the
+	// pre-put baseline. Put i survives a cut at c iff sizes[i+1] <= c.
+	sizes := []int64{walSize(s)}
 	for _, tr := range trajs {
 		s.Put(tr)
-		for g := range sizes {
-			sizes[g] = append(sizes[g], rowWALSize(s, g))
-		}
+		sizes = append(sizes, walSize(s))
 	}
 	mustClose(t, s)
 
-	for g := 0; g < shards; g++ {
-		final := sizes[g][len(sizes[g])-1]
-		cuts := []int64{0, 1, final}
-		for i := 0; i < 6; i++ {
-			cuts = append(cuts, rng.Int63n(final+1))
+	ends, types := frameEnds(t, walPath(dir, 1))
+	cuts := []int64{0}
+	prev := int64(0)
+	for k, end := range ends {
+		if types[k] == typ {
+			cuts = append(cuts, prev+1+rng.Int63n(end-prev-1), end)
 		}
-		for _, cut := range cuts {
-			probe := copyTree(t, dir)
-			if err := os.Truncate(walRowPath(probe, 1, g), cut); err != nil {
-				t.Fatal(err)
-			}
-			ref := NewSharded(1)
-			seedDictsFromWAL(t, ref, walDictPath(probe, 1))
-			for i, tr := range trajs {
-				routedHere := sizes[g][i+1] > sizes[g][i]
-				if routedHere && sizes[g][i+1] > cut {
-					continue // frame past the cut: must not survive
-				}
-				ref.Put(tr)
-			}
-			got := mustOpen(t, probe, Options{})
-			if gotJSON, want := storeJSON(t, got), storeJSON(t, ref); gotJSON != want {
-				t.Fatalf("shards=%d shard=%d cut=%d: recovered store diverged from surviving-prefix oracle", shards, g, cut)
-			}
-			compareStores(t, ref, got, rng)
-			mustClose(t, got)
+		prev = end
+	}
+	if len(cuts) == 1 {
+		t.Fatalf("the log holds no record of type %d", typ)
+	}
+	if n := len(ends); n <= len(trajs) || ends[n-1] != sizes[len(sizes)-1] {
+		t.Fatalf("the log holds %d frames ending at %d; want more than the %d puts' rows, ending at %d", n, ends[n-1], len(trajs), sizes[len(sizes)-1])
+	}
+	for _, cut := range cuts {
+		probe := copyTree(t, dir)
+		if err := os.Truncate(walPath(probe, 1), cut); err != nil {
+			t.Fatal(err)
 		}
+		ref := NewSharded(1)
+		seedDictsFromWAL(t, ref, walPath(probe, 1))
+		for i, tr := range trajs {
+			if sizes[i+1] > cut {
+				break // the first torn row; nothing after it survives
+			}
+			ref.Put(tr)
+		}
+		got := mustOpen(t, probe, Options{})
+		if gotJSON, want := storeJSON(t, got), storeJSON(t, ref); gotJSON != want {
+			t.Fatalf("shards=%d cut=%d: recovered store diverged from surviving-prefix oracle", shards, cut)
+		}
+		compareStores(t, ref, got, rng)
+		mustClose(t, got)
 	}
 }
 
@@ -182,15 +216,10 @@ func TestCrashRecoveryCheckpointPlusTornTail(t *testing.T) {
 				if err := s.Checkpoint(); err != nil {
 					t.Fatal(err)
 				}
-				sizes := make([][]int64, shards)
-				for g := range sizes {
-					sizes[g] = append(sizes[g], rowWALSize(s, g))
-				}
+				sizes := []int64{walSize(s)}
 				for _, tr := range post[r] {
 					s.Put(tr)
-					for g := range sizes {
-						sizes[g] = append(sizes[g], rowWALSize(s, g))
-					}
+					sizes = append(sizes, walSize(s))
 				}
 				if err := s.Sync(); err != nil {
 					t.Fatal(err)
@@ -209,7 +238,7 @@ func TestCrashRecoveryCheckpointPlusTornTail(t *testing.T) {
 						}
 					}
 					ref.PutBatch(pre[r])
-					seedDictsFromWAL(t, ref, walDictPath(probe, walGen))
+					seedDictsFromWAL(t, ref, walPath(probe, walGen))
 					for i, tr := range post[r] {
 						if survives(i) {
 							ref.Put(tr)
@@ -217,30 +246,25 @@ func TestCrashRecoveryCheckpointPlusTornTail(t *testing.T) {
 					}
 					return ref
 				}
-				for g := 0; g < shards; g++ {
-					final := sizes[g][len(sizes[g])-1]
-					// Frame boundaries (between rows) and arbitrary offsets
-					// (inside a frame).
-					cuts := []int64{0, final, sizes[g][rng.Intn(len(sizes[g]))]}
-					for i := 0; i < 2; i++ {
-						cuts = append(cuts, rng.Int63n(final+1))
+				final := sizes[len(sizes)-1]
+				// Frame boundaries (between rows) and arbitrary offsets
+				// (inside a frame).
+				cuts := []int64{0, final, sizes[rng.Intn(len(sizes))]}
+				for i := 0; i < 2*shards; i++ {
+					cuts = append(cuts, rng.Int63n(final+1))
+				}
+				for _, cut := range cuts {
+					probe := copyTree(t, snap)
+					if err := os.Truncate(walPath(probe, walGen), cut); err != nil {
+						t.Fatal(err)
 					}
-					for _, cut := range cuts {
-						probe := copyTree(t, snap)
-						if err := os.Truncate(walRowPath(probe, walGen, g), cut); err != nil {
-							t.Fatal(err)
-						}
-						ref := oracle(probe, func(i int) bool {
-							routedHere := sizes[g][i+1] > sizes[g][i]
-							return !routedHere || sizes[g][i+1] <= cut
-						})
-						got := mustOpen(t, probe, Options{})
-						if gotJSON, want := storeJSON(t, got), storeJSON(t, ref); gotJSON != want {
-							t.Fatalf("shards=%d round=%d shard=%d cut=%d: checkpoint+tail recovery diverged", shards, r, g, cut)
-						}
-						compareStores(t, ref, got, rng)
-						mustClose(t, got)
+					ref := oracle(probe, func(i int) bool { return sizes[i+1] <= cut })
+					got := mustOpen(t, probe, Options{})
+					if gotJSON, want := storeJSON(t, got), storeJSON(t, ref); gotJSON != want {
+						t.Fatalf("shards=%d round=%d cut=%d: checkpoint+tail recovery diverged", shards, r, cut)
 					}
+					compareStores(t, ref, got, rng)
+					mustClose(t, got)
 				}
 
 				// Inside the next checkpoint: its dictionary delta and a torn
@@ -297,69 +321,5 @@ func TestCrashRecoveryCheckpointPlusTornTail(t *testing.T) {
 			}
 			mustClose(t, s)
 		})
-	}
-}
-
-func TestCrashRecoveryTruncatedDictWAL(t *testing.T) {
-	for _, shards := range []int{1, 2, 8} {
-		for _, procs := range []int{1, 8} {
-			t.Run(fmt.Sprintf("shards=%d,procs=%d", shards, procs), func(t *testing.T) {
-				prev := runtime.GOMAXPROCS(procs)
-				defer runtime.GOMAXPROCS(prev)
-				crashRecoverDictWAL(t, shards, int64(200*shards+procs))
-			})
-		}
-	}
-}
-
-// crashRecoverDictWAL cuts the shared dict WAL. Every put below interns a
-// fresh moving object and a fresh cell, so a put's row is replayable iff
-// every dict delta logged for it survived — which makes the after-put dict
-// WAL size a strictly increasing watermark and the surviving puts exactly
-// the prefix whose watermark fits under the cut. Rows past that prefix are
-// intact in their row WALs but reference never-durable ids; recovery must
-// treat them as a torn tail (errStaleRow → ErrStopReplay), not corruption.
-func crashRecoverDictWAL(t *testing.T, shards int, seed int64) {
-	dir := t.TempDir()
-	rng := rand.New(rand.NewSource(seed))
-
-	const n = 40
-	trajs := make([]core.Trajectory, 0, n)
-	for i := 0; i < n; i++ {
-		trajs = append(trajs, mkTraj(t, fmt.Sprintf("cm%03d", i), "A", fmt.Sprintf("cc%03d", i)))
-	}
-
-	s := mustOpen(t, dir, Options{Shards: shards})
-	marks := make([]int64, 0, n) // dict WAL size after put i (strictly increasing)
-	for _, tr := range trajs {
-		s.Put(tr)
-		marks = append(marks, dictWALSize(s))
-	}
-	mustClose(t, s)
-
-	final := marks[len(marks)-1]
-	cuts := []int64{0, 1, marks[0] - 1, marks[0], final}
-	for i := 0; i < 6; i++ {
-		cuts = append(cuts, rng.Int63n(final+1))
-	}
-	for _, cut := range cuts {
-		probe := copyTree(t, dir)
-		if err := os.Truncate(walDictPath(probe, 1), cut); err != nil {
-			t.Fatal(err)
-		}
-		ref := NewSharded(1)
-		seedDictsFromWAL(t, ref, walDictPath(probe, 1))
-		for i, tr := range trajs {
-			if marks[i] > cut {
-				break // first put whose deltas were torn; nothing later survives
-			}
-			ref.Put(tr)
-		}
-		got := mustOpen(t, probe, Options{})
-		if gotJSON, want := storeJSON(t, got), storeJSON(t, ref); gotJSON != want {
-			t.Fatalf("shards=%d cut=%d: recovered store diverged from surviving-prefix oracle", shards, cut)
-		}
-		compareStores(t, ref, got, rng)
-		mustClose(t, got)
 	}
 }

@@ -19,30 +19,30 @@ import (
 )
 
 // Durable store (DESIGN.md §3.10): the in-memory sharded engine backed by
-// a per-shard write-ahead log plus immutable columnar segments, mirroring
-// the in-memory layout — the WAL carries the already-interned row columns
-// and dictionary deltas, segments carry the encoded columns and dict pages
+// one write-ahead log plus immutable columnar segments, mirroring the
+// in-memory layout — the WAL carries the already-interned row columns and
+// dictionary deltas, segments carry the encoded columns and dict pages
 // verbatim, so Open replays bytes back into shard columns instead of
 // parse-and-re-intern.
 //
-// Write protocol: a writer holds the checkpoint gate shared, logs any
-// dictionary growth to the dict WAL, appends the encoded row to its home
-// shard's WAL (sequence assignment and append under one mutex, so each
-// shard's WAL is ascending in seq for sequential writers), then inserts
-// into the shard exactly like the in-memory path. Append ≠ durable: call
-// Sync (or Close) to fsync; a crash loses at most the unsynced tail, never
-// the prefix, and never consistency.
+// Write protocol: a writer holds the checkpoint gate shared and, under the
+// log mutex, appends a delta record for any dictionary growth and then its
+// rows to the store's one log, so every row follows the deltas of the
+// symbols it references in the same ordered file; it then inserts into
+// each touched shard exactly like the in-memory path. Append ≠ durable:
+// call Sync (or Close) to fsync; a crash loses at most the unsynced tail,
+// never the prefix, and never consistency.
 //
 // Checkpoint protocol: under the gate held exclusive — so no append or
 // insert is in flight — capture slice headers over every shard's rows
 // since the last committed generation plus the dictionary symbols interned
-// since then, rotate every WAL to a fresh generation, and release the
+// since then, swap the log for a fresh generation's, and release the
 // gate. That tail is then encoded as one new segment per shard and one
 // dictionary delta file, committed (temp + rename) off the write path, and
 // the MANIFEST rename — which appends the new generation to the ordered
 // list of committed ones — is the commit point: rows with seq <
 // manifest.next_seq live in segments, everything after replays from the
-// WALs. A checkpoint costs O(rows since the previous one), not O(store).
+// WAL. A checkpoint costs O(rows since the previous one), not O(store).
 // Failures before the manifest commit leave the old manifest listing the
 // old generations while recovery replays both WAL generations — nothing
 // is lost, the checkpoint just didn't happen.
@@ -79,17 +79,6 @@ var ErrReadOnly = errors.New("store: read-only")
 
 const walFrameOverhead = 9 // 8-byte frame header + 1 type byte
 
-// rowLog is one shard's WAL handle. mu serializes sequence assignment and
-// append so the shard's WAL stays seq-ascending for sequential writers,
-// and guards the handle across checkpoint rotation.
-type rowLog struct {
-	mu sync.Mutex
-	//sitm:guardedby mu
-	log *wal.Log
-	//sitm:guardedby mu
-	buf []byte // row encode scratch
-}
-
 // durable is the persistence state hanging off a Store opened with Open.
 type durable struct {
 	dir string
@@ -97,7 +86,7 @@ type durable struct {
 	// (faultfs.OS outside fault-injection tests).
 	fs faultfs.FS
 	// readOnly marks a store opened with Options.ReadOnly: no WAL
-	// handles exist and every mutating entry point refuses.
+	// handle exists and every mutating entry point refuses.
 	readOnly bool
 	// cache holds the store's lazily decoded segment blocks. Immutable
 	// after Open.
@@ -107,15 +96,20 @@ type durable struct {
 	// rotation must observe no WAL append or shard insert in flight.
 	gate sync.RWMutex
 
-	dictMu sync.Mutex
-	//sitm:guardedby dictMu
-	dictLog *wal.Log
-	//sitm:guardedby dictMu
-	dictLogged [3]int // symbols persisted per dict (cells, mos, pairs)
-	//sitm:guardedby dictMu
-	dictBuf []byte
-
-	rows []rowLog // one per shard, parallel to Store.shards
+	// logMu orders appends to the log: a batch's delta records and rows
+	// go in under one hold. It also guards the handle across rotation.
+	logMu sync.Mutex
+	//sitm:guardedby logMu
+	log *wal.Log
+	// dictLogged is, per dict (cells, mos, pairs), how many symbols a
+	// log record or a committed dictionary file already holds. Only
+	// logBatch advances it; rotation leaves it, so a symbol interned
+	// before a rotation but logged after it goes into the new generation,
+	// ahead of the rows that use it.
+	//sitm:guardedby logMu
+	dictLogged [3]int
+	//sitm:guardedby logMu
+	buf []byte // record encode scratch
 
 	// ckptMu serializes Checkpoint/Close against each other.
 	ckptMu sync.Mutex
@@ -126,11 +120,11 @@ type durable struct {
 	//sitm:guardedby ckptMu
 	ckptDict [3]int // per dictionary: symbols held by the kept generations' files
 	//sitm:guardedby ckptMu
-	walGen uint64 // generation of the current WAL files
+	walGen uint64 // generation of the current log
 	//sitm:guardedby ckptMu
-	staleWAL []string // replayed WAL files awaiting checkpoint cleanup
+	staleWAL []string // replayed logs awaiting checkpoint cleanup
 
-	walLive atomic.Int64 // bytes across live WAL files (DurableStats.WALBytes)
+	walLive atomic.Int64 // bytes across live logs (DurableStats.WALBytes)
 	closed  atomic.Bool
 
 	errMu sync.Mutex
@@ -164,36 +158,6 @@ func (s *Store) dictKinds() [3]*symtab.SyncDict {
 	return [3]*symtab.SyncDict{s.cells, s.mos, s.pairs}
 }
 
-// logDictTail appends a delta record for every dictionary that has grown
-// past its persisted length. Called before appending a row, it guarantees
-// the row's ids are covered by deltas earlier in the dict WAL — Sync
-// syncs the dict WAL first, and recovery replays it first, so a row can
-// never outlive the symbols it references.
-func (d *durable) logDictTail(s *Store) {
-	dicts := s.dictKinds()
-	lens := [3]int{dicts[0].Len(), dicts[1].Len(), dicts[2].Len()}
-	d.dictMu.Lock()
-	for k := range dicts {
-		if lens[k] <= d.dictLogged[k] {
-			continue
-		}
-		syms := dicts[k].SymbolsFrom(d.dictLogged[k])
-		if len(syms) == 0 {
-			continue
-		}
-		payload := append(d.dictBuf[:0], byte(k))
-		payload = binary.AppendUvarint(payload, uint64(d.dictLogged[k]))
-		payload = symtab.AppendPage(payload, syms)
-		d.dictBuf = payload
-		if err := d.dictLog.Append(recDict, payload); err != nil {
-			d.fail(err)
-		}
-		d.dictLogged[k] += len(syms)
-		d.walLive.Add(int64(len(payload)) + walFrameOverhead)
-	}
-	d.dictMu.Unlock()
-}
-
 // admit gates a durable write before anything is interned: a read-only
 // store panics, and a write holding a time the WAL cannot store (outside
 // the int64 nanosecond range) is not applied at all — the whole batch is
@@ -212,28 +176,17 @@ func (d *durable) admit(ts []core.Trajectory) bool {
 	return true
 }
 
-// putBatchDurable is PutBatch's durable back half: one WAL-append run and
-// one shard visit per touched shard.
+// putBatchDurable is PutBatch's durable back half: the batch is logged
+// (logBatch), then each touched shard is visited once.
 func (s *Store) putBatchDurable(ts []core.Trajectory, moIDs []int32, encs, anns [][]int32, groups [][]int32) {
 	d := s.dur
 	d.gate.RLock()
-	d.logDictTail(s)
 	base := s.nextSeq.Add(uint64(len(ts))) - uint64(len(ts))
+	d.logBatch(s, base, ts, moIDs, encs, anns)
 	for g, idxs := range groups {
 		if len(idxs) == 0 {
 			continue
 		}
-		rl := &d.rows[g]
-		rl.mu.Lock()
-		for _, i := range idxs {
-			rl.buf = appendRow(rl.buf[:0], base+uint64(i), moIDs[i], encs[i], anns[i], ts[i])
-			if err := rl.log.Append(recRow, rl.buf); err != nil {
-				d.fail(err)
-				break
-			}
-			d.walLive.Add(int64(len(rl.buf)) + walFrameOverhead)
-		}
-		rl.mu.Unlock()
 		sh := &s.shards[g]
 		sh.mu.Lock()
 		sh.insertBatch(base, ts, idxs, moIDs, encs, anns, s.trajectoryRegions)
@@ -242,30 +195,63 @@ func (s *Store) putBatchDurable(ts []core.Trajectory, moIDs []int32, encs, anns 
 	d.gate.RUnlock()
 }
 
-// Sync makes every previously completed Put/PutBatch durable: the dict
-// WAL is synced before the row WALs, preserving the replay invariant. On
-// an in-memory store Sync is a no-op. The first underlying failure is
-// sticky and re-reported here.
+// logBatch appends a batch to the log under one hold of logMu: a delta
+// record for every dictionary that has grown past its logged length, then
+// the batch's rows in argument order. The batch's symbols were interned
+// before the call, so every id a row holds is covered by a delta before
+// it in the log, or by a committed dictionary file: replay in log order
+// meets each symbol before the first row that uses it.
+func (d *durable) logBatch(s *Store, base uint64, ts []core.Trajectory, moIDs []int32, encs, anns [][]int32) {
+	d.logMu.Lock()
+	defer d.logMu.Unlock()
+	for k, dict := range s.dictKinds() {
+		syms := dict.SymbolsFrom(d.dictLogged[k])
+		if len(syms) == 0 {
+			continue
+		}
+		d.buf = append(d.buf[:0], byte(k))
+		d.buf = binary.AppendUvarint(d.buf, uint64(d.dictLogged[k]))
+		d.buf = symtab.AppendPage(d.buf, syms)
+		if !d.appendRecord(recDict) {
+			return
+		}
+		d.dictLogged[k] += len(syms)
+	}
+	for i := range ts {
+		d.buf = appendRow(d.buf[:0], base+uint64(i), moIDs[i], encs[i], anns[i], ts[i])
+		if !d.appendRecord(recRow) {
+			return
+		}
+	}
+}
+
+// appendRecord appends the encoded record in buf to the log. A failure is
+// sticky — the log is wedged, and Sync reports it — so the caller stops.
+//
+//sitm:locked
+func (d *durable) appendRecord(typ byte) bool {
+	if err := d.log.Append(typ, d.buf); err != nil {
+		d.fail(err)
+		return false
+	}
+	d.walLive.Add(int64(len(d.buf)) + walFrameOverhead)
+	return true
+}
+
+// Sync makes every previously completed Put/PutBatch durable: one fsync of
+// the log. On an in-memory store Sync is a no-op. The first underlying
+// failure is sticky and re-reported here.
 func (s *Store) Sync() error {
 	d := s.dur
 	if d == nil || d.readOnly {
 		return nil
 	}
 	d.gate.RLock()
-	d.dictMu.Lock()
-	dl := d.dictLog
-	d.dictMu.Unlock()
-	if err := dl.Sync(); err != nil {
+	d.logMu.Lock()
+	lg := d.log
+	d.logMu.Unlock()
+	if err := lg.Sync(); err != nil {
 		d.fail(err)
-	}
-	for i := range d.rows {
-		rl := &d.rows[i]
-		rl.mu.Lock()
-		lg := rl.log
-		rl.mu.Unlock()
-		if err := lg.Sync(); err != nil {
-			d.fail(err)
-		}
 	}
 	d.gate.RUnlock()
 	return d.sticky()
@@ -295,10 +281,14 @@ func (snap *ckptSnapshot) empty() bool {
 
 // rotate runs under the gate held exclusive: captures the snapshot of
 // what follows the committed dictionary lengths dictFrom and each shard's
-// block-backed prefix (its live rows), swaps every WAL to the pre-created
-// next-generation logs, and closes (flushing and syncing) the old ones. It
-// returns the snapshot and the old WAL paths for post-commit deletion.
-func (d *durable) rotate(s *Store, dictFrom [3]int, newDict *wal.Log, newRows []*wal.Log) (*ckptSnapshot, []string) {
+// block-backed prefix (its live rows), closes (flushing and syncing) the
+// old log and swaps in the pre-created next generation's. It returns the
+// snapshot and the old log's path for post-commit deletion.
+// The logged-dictionary lengths stay where they are: a writer waiting at
+// the gate may hold symbols that are in the snapshot but in no log, and
+// it must log them into the new generation, which is all recovery has of
+// them if this checkpoint fails.
+func (d *durable) rotate(s *Store, dictFrom [3]int, next *wal.Log) (*ckptSnapshot, string, error) {
 	snap := &ckptSnapshot{
 		nextSeq: s.nextSeq.Load(),
 		shards:  make([]segmentColumns, len(s.shards)),
@@ -307,18 +297,6 @@ func (d *durable) rotate(s *Store, dictFrom [3]int, newDict *wal.Log, newRows []
 		snap.dict.from[k] = dictFrom[k]
 		snap.dict.syms[k] = dict.SymbolsFrom(dictFrom[k])
 	}
-	oldPaths := make([]string, 0, len(s.shards)+1)
-	d.dictMu.Lock()
-	oldDict := d.dictLog
-	d.dictLog = newDict
-	for k := range d.dictLogged {
-		d.dictLogged[k] = snap.dict.from[k] + len(snap.dict.syms[k])
-	}
-	d.dictMu.Unlock()
-	if err := oldDict.Close(); err != nil {
-		d.fail(err)
-	}
-	oldPaths = append(oldPaths, oldDict.Path())
 	for i := range s.shards {
 		sh := &s.shards[i]
 		// Every commit adopts its blocks, so the tail is the live rows.
@@ -329,25 +307,30 @@ func (d *durable) rotate(s *Store, dictFrom [3]int, newDict *wal.Log, newRows []
 			starts: sh.starts[from:], ends: sh.ends[from:], trajs: sh.trajs,
 		}
 		sh.mu.RUnlock()
-		rl := &d.rows[i]
-		rl.mu.Lock()
-		oldLog := rl.log
-		rl.log = newRows[i]
-		rl.mu.Unlock()
-		if err := oldLog.Close(); err != nil {
-			d.fail(err)
-		}
-		oldPaths = append(oldPaths, oldLog.Path())
 	}
+	// The new generation's rows may use symbols only the old log holds,
+	// so the old log is made durable before the swap. If it cannot be,
+	// it stays current, wedged, so every later append fails and no row
+	// reaches a file that would outlive the deltas it depends on.
+	d.logMu.Lock()
+	defer d.logMu.Unlock()
+	old := d.log.Path()
+	if err := d.log.Close(); err != nil {
+		d.fail(err)
+		next.Close()
+		d.fs.Remove(next.Path())
+		return nil, "", err
+	}
+	d.log = next
 	d.walLive.Store(0)
-	return snap, oldPaths
+	return snap, old, nil
 }
 
 // Checkpoint commits everything written since the last checkpoint as a
 // new generation: one segment per shard holding the rows each shard
 // gained, and one dictionary delta file. Rotate-and-capture stops the
 // world only for slice-header copies and file swaps; encoding and
-// committing happen with writers flowing into the fresh WALs, and cost
+// committing happen with writers flowing into the fresh log, and cost
 // O(rows since the previous checkpoint). On success the replayed-away WAL
 // files are deleted; earlier generations stay, listed before the new one.
 // A checkpoint with nothing new writes no generation. On commit each shard
@@ -376,23 +359,26 @@ func (s *Store) Checkpoint() error {
 	// stop-the-world window contains no file creation. A creation failure
 	// leaves the current generation untouched and is safe to retry.
 	nextWAL := d.walGen + 1
-	newDict, newRows, err := createWALGen(d.fs, d.dir, nextWAL, len(d.rows))
+	next, err := createWAL(d.fs, d.dir, nextWAL)
 	if err != nil {
 		return retry.MarkTransient(err)
 	}
 	d.gate.Lock()
-	snap, oldWAL := d.rotate(s, d.ckptDict, newDict, newRows)
+	snap, oldWAL, err := d.rotate(s, d.ckptDict, next)
 	d.gate.Unlock()
+	if err != nil {
+		return err
+	}
 	d.walGen = nextWAL
-	// The rotated-out files stay tracked until a checkpoint commits: on
+	// The rotated-out log stays tracked until a checkpoint commits: on
 	// any failure below, recovery (and the next checkpoint's cleanup)
-	// still needs them.
-	d.staleWAL = append(d.staleWAL, oldWAL...)
+	// still needs it.
+	d.staleWAL = append(d.staleWAL, oldWAL)
 	if err := d.sticky(); err != nil {
 		return err
 	}
 	if snap.empty() {
-		// Every row and symbol the rotated WALs hold is already in a
+		// Every row and symbol the rotated logs hold is already in a
 		// committed generation.
 		removeAll(d.fs, d.staleWAL)
 		d.staleWAL = nil
@@ -402,7 +388,7 @@ func (s *Store) Checkpoint() error {
 	// Encode and commit off the write path. Failures here (temp-file
 	// write, fsync, manifest rename) happen before the commit point: the
 	// previous generations stay authoritative and every row is still
-	// recoverable from the WALs, so these errors are marked transient —
+	// recoverable from the WAL, so these errors are marked transient —
 	// callers may simply call Checkpoint again, which rewrites this
 	// generation with whatever arrived since.
 	gen := d.gen + 1
@@ -420,7 +406,7 @@ func (s *Store) Checkpoint() error {
 		return retry.MarkTransient(err)
 	}
 	gens := append(slices.Clip(d.gens), gen)
-	man := &manifest{Version: manifestVersion, Shards: len(d.rows), Gen: gen, NextSeq: snap.nextSeq, Gens: gens}
+	man := &manifest{Version: manifestVersion, Shards: len(s.shards), Gen: gen, NextSeq: snap.nextSeq, Gens: gens}
 	if err := writeManifest(d.fs, d.dir, man); err != nil {
 		return retry.MarkTransient(err)
 	}
@@ -443,27 +429,21 @@ func (s *Store) Checkpoint() error {
 	return nil
 }
 
-// createWALGen creates the dict and per-shard row logs of one generation,
-// cleaning up on partial failure.
-func createWALGen(fsys faultfs.FS, dir string, gen uint64, nShards int) (*wal.Log, []*wal.Log, error) {
-	dict, err := wal.CreateFS(fsys, walDictPath(dir, gen))
+// createWAL creates generation gen's log and makes its directory entry
+// durable before any row is appended to it: without the directory fsync a
+// power loss could drop the new file, and every row acknowledged into it.
+// A failure leaves no file behind.
+func createWAL(fsys faultfs.FS, dir string, gen uint64) (*wal.Log, error) {
+	lg, err := wal.CreateFS(fsys, walPath(dir, gen))
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	rows := make([]*wal.Log, nShards)
-	for i := range rows {
-		rows[i], err = wal.CreateFS(fsys, walRowPath(dir, gen, i))
-		if err != nil {
-			dict.Close()
-			fsys.Remove(dict.Path())
-			for _, lg := range rows[:i] {
-				lg.Close()
-				fsys.Remove(lg.Path())
-			}
-			return nil, nil, err
-		}
+	if err := syncDir(fsys, filepath.Join(dir, walDirName)); err != nil {
+		lg.Close()
+		fsys.Remove(lg.Path())
+		return nil, err
 	}
-	return dict, rows, nil
+	return lg, nil
 }
 
 // removeAll best-effort deletes the given files (cleanup after a commit;
@@ -474,7 +454,7 @@ func removeAll(fsys faultfs.FS, paths []string) {
 	}
 }
 
-// Close flushes and fsyncs every WAL and closes the files. Close on an
+// Close flushes and fsyncs the log and closes it. Close on an
 // in-memory store is a no-op. The returned error is the sticky
 // durability error, if any — a nil return means everything written is on
 // disk.
@@ -492,20 +472,11 @@ func (s *Store) Close() error {
 		return d.sticky()
 	}
 	d.ckptMu.Lock()
-	d.dictMu.Lock()
-	dl := d.dictLog
-	d.dictMu.Unlock()
-	if err := dl.Close(); err != nil {
+	d.logMu.Lock()
+	lg := d.log
+	d.logMu.Unlock()
+	if err := lg.Close(); err != nil {
 		d.fail(err)
-	}
-	for i := range d.rows {
-		rl := &d.rows[i]
-		rl.mu.Lock()
-		lg := rl.log
-		rl.mu.Unlock()
-		if err := lg.Close(); err != nil {
-			d.fail(err)
-		}
 	}
 	d.ckptMu.Unlock()
 	return d.sticky()
@@ -533,7 +504,7 @@ func (s *Store) Durability() (DurableStats, bool) {
 		return DurableStats{}, false
 	}
 	d.ckptMu.Lock()
-	st := DurableStats{Dir: d.dir, Gen: d.gen, Segments: len(d.gens) * len(d.rows), WALBytes: d.walLive.Load()}
+	st := DurableStats{Dir: d.dir, Gen: d.gen, Segments: len(d.gens) * len(s.shards), WALBytes: d.walLive.Load()}
 	d.ckptMu.Unlock()
 	return st, true
 }
@@ -566,43 +537,49 @@ func (s *Store) BlockCacheStats() (BlockCacheStats, bool) {
 	return d.cache.stats(), true
 }
 
-// errStaleRow tags a WAL row whose ids point past the recovered
-// dictionaries — the row was appended (and possibly synced) after dict
-// deltas that never became durable. Recovery treats it as the start of a
-// torn tail for that shard.
-var errStaleRow = errors.New("row references unrecovered dictionary symbols")
-
-// walReplay replays one WAL file through fn and returns its intact byte
-// count: Open's keeps the log open for appending (truncating a torn tail),
-// a read-only open's scans it through wal.ScanFS.
+// walReplay replays one log through fn and returns its intact byte count:
+// Open's keeps the log open for appending (truncating a torn tail), a
+// read-only open's scans it through wal.ScanFS.
 type walReplay func(path string, fn func(typ byte, payload []byte) error) (int64, error)
 
 // recovered is what recoverDir rebuilt from a directory.
 type recovered struct {
-	s         *Store
-	cache     *blockCache
-	dictFiles []walFile
-	rowFiles  [][]walFile
-	walBytes  int64
+	s        *Store
+	cache    *blockCache
+	walFiles []walFile // the logs replayed, oldest first
+	drained  []walFile // empty logs of the earlier per-shard layout
+	walBytes int64
 	// What the next checkpoint keeps: the committed generations and the
 	// symbols per dictionary they hold.
 	gens     []uint64
 	ckptDict [3]int
 }
 
+// walRows is the WAL rows recovery replays after the segments, collected
+// raw by one scan for the shards to decode in parallel: the payloads back
+// to back in buf, and per shard the start and end offset of each of its
+// rows, in log order. homes memoizes the home shard of each MO id.
+type walRows struct {
+	buf   []byte
+	spans [][]int
+	homes []int32
+}
+
 // recoverDir is the one recovery pipeline of writable and read-only opens:
-// (1) the committed generations' dictionary files in order, (2) the
-// dict-WAL deltas of every WAL generation in order, (3) each shard's
-// committed segments in generation order, appended into one block-backed
-// prefix, then (4) each shard's row-WAL tail, skipping rows below the
-// manifest watermark (they live in the segments). Torn WAL tails end
+// (1) the committed generations' dictionary files in order, (2) one scan
+// of each WAL generation in order, applying dictionary deltas as it meets
+// them and collecting the rows past the manifest watermark by home shard
+// (rows below it live in the segments), then (3) per shard, in parallel,
+// its committed segments in generation order, appended into one
+// block-backed prefix, followed by its collected rows. Torn WAL tails end
 // replay silently (the crash contract); corruption inside intact frames or
 // committed files is a hard error, never a silent partial load, and so is
-// a file the manifest lists that is missing.
+// a file the manifest lists that is missing. A row's deltas precede it in
+// the log, so an id past the recovered dictionaries is corruption too.
 func recoverDir(fsys faultfs.FS, dir string, man *manifest, opts Options, replay walReplay) (*recovered, error) {
 	nShards := man.Shards
 	s := NewSharded(nShards)
-	gens := man.generations()
+	gens := man.Gens
 	rec := &recovered{s: s, gens: gens}
 
 	// 1. Dictionaries: each generation's file continues the previous one;
@@ -633,21 +610,26 @@ func recoverDir(fsys faultfs.FS, dir string, man *manifest, opts Options, replay
 		rec.ckptDict[k] = len(syms[k])
 	}
 
-	// 2. Dict-WAL deltas (before the segments' row decode would not matter
-	// — segments validate against the committed files alone — but rows
-	// replayed later may reference delta symbols, so deltas apply first).
-	dicts := s.dictKinds()
+	// 2. The WAL, one scan per generation.
 	var err error
-	rec.dictFiles, rec.rowFiles, err = listWALFiles(fsys, dir, nShards)
-	if err != nil {
+	if rec.walFiles, rec.drained, err = listWALFiles(fsys, dir); err != nil {
 		return nil, err
 	}
-	for _, wf := range rec.dictFiles {
+	dicts := s.dictKinds()
+	var logBytes int64
+	for _, wf := range rec.walFiles {
+		logBytes += wf.size
+	}
+	tail := &walRows{buf: make([]byte, 0, logBytes), spans: make([][]int, nShards)}
+	for _, wf := range rec.walFiles {
 		n, err := replay(wf.path, func(typ byte, payload []byte) error {
-			if typ != recDict {
-				return fmt.Errorf("record type %d in dict wal", typ)
+			switch typ {
+			case recDict:
+				return applyDictDelta(dicts, payload)
+			case recRow:
+				return s.routeRow(tail, payload, man.NextSeq)
 			}
-			return applyDictDelta(dicts, payload)
+			return fmt.Errorf("record type %d", typ)
 		})
 		if err != nil {
 			return nil, err
@@ -655,86 +637,105 @@ func recoverDir(fsys faultfs.FS, dir string, man *manifest, opts Options, replay
 		rec.walBytes += n
 	}
 
-	// 3. Segments, shards in parallel: each shard's generations append
-	// their eager columns as one block-backed prefix and leave residuals
-	// lazy behind the block cache.
+	// 3. Shards in parallel: each shard's generations append their eager
+	// columns as one block-backed prefix and leave residuals lazy behind
+	// the block cache; the shard's WAL rows follow.
 	rec.cache = newBlockCache(opts.BlockCacheBytes)
 	maxSeqs := make([]uint64, nShards)
 	errs := make([]error, nShards)
 	parallel.ForEach(nShards, func(i int) {
-		maxSeqs[i], errs[i] = s.loadSegments(fsys, dir, i, gens, rec.cache)
-	})
-	if err := firstErr(errs); err != nil {
-		return nil, err
-	}
-
-	// 4. Row-WAL tails per shard (generation order), skipping checkpointed
-	// rows.
-	replayBytes := make([]int64, nShards)
-	parallel.ForEach(nShards, func(i int) {
-		var rows []durableRow
-		for _, wf := range rec.rowFiles[i] {
-			n, err := replay(wf.path, func(typ byte, payload []byte) error {
-				if typ != recRow {
-					return fmt.Errorf("record type %d in row wal", typ)
-				}
-				row, err := decodeRow(payload,
-					s.cells.Len(), s.mos.Len(), s.pairs.Len(),
-					s.cells.Symbol, s.mos.Symbol)
-				if err != nil {
-					if errors.Is(err, errStaleRow) {
-						return wal.ErrStopReplay
-					}
-					return err
-				}
-				if row.seq < man.NextSeq {
-					return nil // already in the segments
-				}
-				rows = append(rows, row)
-				return nil
-			})
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			replayBytes[i] += n
+		if maxSeqs[i], errs[i] = s.loadSegments(fsys, dir, i, gens, rec.cache); errs[i] != nil {
+			return
 		}
-		for r := range rows {
-			maxSeqs[i] = max(maxSeqs[i], rows[r].seq+1)
+		walMax, err := s.replayRows(i, tail)
+		if err != nil {
+			errs[i] = fmt.Errorf("wal %s: %w", filepath.Join(dir, walDirName), err)
 		}
-		s.shards[i].insertRecovered(rows)
+		maxSeqs[i] = max(maxSeqs[i], walMax)
 	})
 	if err := firstErr(errs); err != nil {
 		return nil, err
 	}
 	nextSeq := man.NextSeq
-	for i := range maxSeqs {
-		rec.walBytes += replayBytes[i]
-		nextSeq = max(nextSeq, maxSeqs[i])
+	for _, m := range maxSeqs {
+		nextSeq = max(nextSeq, m)
 	}
 	s.nextSeq.Store(nextSeq)
 	return rec, nil
 }
 
+// routeRow files one WAL row record under its home shard, unless its seq
+// is below the manifest watermark nextSeq (the row is in a segment). The
+// home shard comes from the row's moving object, whose delta the scan has
+// already applied.
+func (s *Store) routeRow(t *walRows, payload []byte, nextSeq uint64) error {
+	d := rowDecoder{b: payload}
+	seq, mo := d.uvarint(), d.uvarint()
+	if d.err != nil {
+		return d.err
+	}
+	if mo >= uint64(len(t.homes)) {
+		for _, sym := range s.mos.SymbolsFrom(len(t.homes)) {
+			t.homes = append(t.homes, int32(s.shardIndex(sym)))
+		}
+		if mo >= uint64(len(t.homes)) {
+			return fmt.Errorf("store: corrupt record: mo id %d beyond dictionary size %d", mo, len(t.homes))
+		}
+	}
+	if seq < nextSeq {
+		return nil
+	}
+	g := t.homes[mo]
+	t.spans[g] = append(t.spans[g], len(t.buf))
+	t.buf = append(t.buf, payload...)
+	t.spans[g] = append(t.spans[g], len(t.buf))
+	return nil
+}
+
+// replayRows decodes shard i's collected WAL rows against the recovered
+// dictionaries — frozen snapshots, since the scan has applied every delta,
+// so a symbol lookup takes no lock — and appends them to the shard's
+// columns, returning one past the highest seq among them (0 when none).
+func (s *Store) replayRows(i int, t *walRows) (uint64, error) {
+	sh := &s.shards[i]
+	cells, mos := s.cells.Freeze(), s.mos.Freeze()
+	var maxSeq uint64
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	spans := t.spans[i]
+	sh.reserve(len(spans) / 2)
+	for k := 0; k < len(spans); k += 2 {
+		r, err := decodeRow(t.buf[spans[k]:spans[k+1]], cells.Len(), mos.Len(), s.pairs.Len(), cells.Symbol, mos.Symbol)
+		if err != nil {
+			return 0, err
+		}
+		sh.addSlot(r.seq, r.traj, r.moID, r.enc, r.ann, nil)
+		maxSeq = max(maxSeq, r.seq+1)
+	}
+	return maxSeq, nil
+}
+
 // Open opens (creating if needed) a durable store rooted at dir and
-// recovers it (recoverDir) with every WAL file opened for appending, so
-// torn tails are truncated. The newest WAL generation stays open for
+// recovers it (recoverDir) with every log opened for appending, so torn
+// tails are truncated. The newest WAL generation's log stays open for
 // writes; older ones are deleted by the next checkpoint. A writable open
-// also deletes what a crash or a failed checkpoint left behind: temp files
-// and files of generations the manifest does not list.
+// also deletes what a crash or a failed checkpoint left behind — temp
+// files and files of generations the manifest does not list — and the
+// empty logs an earlier build's per-shard layout leaves after a drain or
+// a checkpoint.
 func Open(dir string, opts Options) (*Store, error) {
 	fsys := faultfs.Or(opts.FS)
 	if opts.ReadOnly {
 		return openReadOnly(fsys, dir, opts)
 	}
+	man, err := readManifest(fsys, dir)
+	if err != nil {
+		return nil, err
+	}
 	if err := fsys.MkdirAll(filepath.Join(dir, walDirName), 0o755); err != nil {
 		return nil, err
 	}
 	if err := fsys.MkdirAll(filepath.Join(dir, segDirName), 0o755); err != nil {
-		return nil, err
-	}
-	man, err := readManifest(fsys, dir)
-	if err != nil {
 		return nil, err
 	}
 	nShards := opts.Shards
@@ -751,10 +752,8 @@ func Open(dir string, opts Options) (*Store, error) {
 			return nil, err
 		}
 	}
-	nShards = man.Shards
 
-	var logsMu sync.Mutex
-	logs := map[string]*wal.Log{} // every log left open, for cleanup on error
+	var logs []*wal.Log // one per replayed generation, oldest first
 	closeLogs := func() {
 		for _, lg := range logs {
 			lg.Close()
@@ -765,9 +764,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		if err != nil {
 			return 0, err
 		}
-		logsMu.Lock()
-		logs[path] = lg
-		logsMu.Unlock()
+		logs = append(logs, lg)
 		return lg.Size(), nil
 	})
 	if err != nil {
@@ -775,65 +772,45 @@ func Open(dir string, opts Options) (*Store, error) {
 		return nil, err
 	}
 
-	// Current WAL generation: append to the newest existing files, creating
-	// any that are missing at the highest generation seen; the older files
-	// are only read again if this open's first checkpoint fails.
-	var stale []string
+	// Append to the newest log, or create one at the highest generation
+	// any WAL file names; older logs are only read again if this open's
+	// first checkpoint fails.
 	walGen := uint64(1)
-	newest := func(files []walFile) *wal.Log {
-		if len(files) == 0 {
-			return nil
-		}
-		for _, wf := range files[:len(files)-1] {
-			stale = append(stale, wf.path)
-			logs[wf.path].Close()
-			delete(logs, wf.path)
-		}
-		walGen = max(walGen, files[len(files)-1].gen)
-		return logs[files[len(files)-1].path]
+	for _, wf := range slices.Concat(rec.walFiles, rec.drained) {
+		walGen = max(walGen, wf.gen)
 	}
-	dictLog := newest(rec.dictFiles)
-	rowLogs := make([]*wal.Log, nShards)
-	for i := range rowLogs {
-		rowLogs[i] = newest(rec.rowFiles[i])
+	var stale []string
+	var lg *wal.Log
+	if n := len(logs); n > 0 {
+		for _, old := range logs[:n-1] {
+			stale = append(stale, old.Path())
+			old.Close()
+		}
+		lg = logs[n-1]
 	}
-	if dictLog == nil {
-		if dictLog, err = wal.CreateFS(fsys, walDictPath(dir, walGen)); err != nil {
-			closeLogs()
+	for _, wf := range rec.drained {
+		fsys.Remove(wf.path)
+	}
+	if lg == nil {
+		if lg, err = createWAL(fsys, dir, walGen); err != nil {
 			return nil, err
-		}
-		logs[dictLog.Path()] = dictLog
-	}
-	for i := range rowLogs {
-		if rowLogs[i] == nil {
-			if rowLogs[i], err = wal.CreateFS(fsys, walRowPath(dir, walGen, i)); err != nil {
-				closeLogs()
-				return nil, err
-			}
-			logs[rowLogs[i].Path()] = rowLogs[i]
 		}
 	}
 	sweepDir(fsys, dir, nil)
-	sweepDir(fsys, filepath.Join(dir, segDirName), man.generations())
+	sweepDir(fsys, filepath.Join(dir, segDirName), man.Gens)
 
 	s := rec.s
 	d := &durable{
-		dir:      dir,
-		fs:       fsys,
-		cache:    rec.cache,
-		dictLog:  dictLog,
-		rows:     make([]rowLog, nShards),
-		gen:      man.Gen,
-		gens:     rec.gens,
-		ckptDict: rec.ckptDict,
-		walGen:   walGen,
-		staleWAL: stale,
-		dictLogged: [3]int{
-			s.cells.Len(), s.mos.Len(), s.pairs.Len(),
-		},
-	}
-	for i := range d.rows {
-		d.rows[i] = rowLog{log: rowLogs[i]}
+		dir:        dir,
+		fs:         fsys,
+		cache:      rec.cache,
+		log:        lg,
+		dictLogged: [3]int{s.cells.Len(), s.mos.Len(), s.pairs.Len()},
+		gen:        man.Gen,
+		gens:       rec.gens,
+		ckptDict:   rec.ckptDict,
+		walGen:     walGen,
+		staleWAL:   stale,
 	}
 	d.walLive.Store(rec.walBytes)
 	s.dur = d
@@ -864,7 +841,6 @@ func openReadOnly(fsys faultfs.FS, dir string, opts Options) (*Store, error) {
 		fs:       fsys,
 		cache:    rec.cache,
 		readOnly: true,
-		rows:     make([]rowLog, man.Shards),
 		gen:      man.Gen,
 		gens:     rec.gens,
 	}

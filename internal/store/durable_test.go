@@ -9,6 +9,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -151,9 +152,82 @@ func TestDurableCheckpointLifecycle(t *testing.T) {
 	if man.Version != manifestVersion || man.Gen != 2 || fmt.Sprint(man.Gens) != "[1 2]" {
 		t.Fatalf("manifest %+v, want version %d listing generations [1 2]", man, manifestVersion)
 	}
-	// Exactly one WAL generation should remain.
-	if got := dirNames(t, filepath.Join(dir, walDirName)); fmt.Sprint(got) != "[00000003-0000.row.wal 00000003-0001.row.wal 00000003.dict.wal]" {
-		t.Fatalf("wal dir has %v, want exactly generation 3 (3 files)", got)
+	// Exactly one WAL generation should remain, in one file.
+	if got := dirNames(t, filepath.Join(dir, walDirName)); fmt.Sprint(got) != "[00000003.wal]" {
+		t.Fatalf("wal dir has %v, want exactly generation 3's log", got)
+	}
+}
+
+// walOpCounter is the real filesystem, counting the files created in the
+// WAL directory and the fsyncs of files there (the directory's own fsync
+// is not a file's).
+type walOpCounter struct {
+	faultfs.FS
+	dir            string
+	creates, syncs atomic.Int64
+}
+
+type syncCountedFile struct {
+	faultfs.File
+	n *atomic.Int64
+}
+
+func (f syncCountedFile) Sync() error {
+	f.n.Add(1)
+	return f.File.Sync()
+}
+
+func (c *walOpCounter) OpenFile(name string, flag int, perm os.FileMode) (faultfs.File, error) {
+	if filepath.Dir(name) != c.dir {
+		return c.FS.OpenFile(name, flag, perm)
+	}
+	_, statErr := os.Stat(name)
+	f, err := c.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	if os.IsNotExist(statErr) {
+		c.creates.Add(1)
+	}
+	return syncCountedFile{f, &c.syncs}, nil
+}
+
+// TestOneLogPerWALGeneration: the dictionary deltas and every shard's rows
+// share one log per WAL generation. After a batch that touched every
+// shard, wal/ holds one file; a Sync fsyncs one file; a checkpoint
+// rotation creates one file.
+func TestOneLogPerWALGeneration(t *testing.T) {
+	const shards = 4
+	dir := t.TempDir()
+	fsys := &walOpCounter{FS: faultfs.OS, dir: filepath.Join(dir, walDirName)}
+	s := mustOpen(t, dir, Options{Shards: shards, FS: fsys})
+	defer mustClose(t, s)
+	var batch []core.Trajectory
+	touched := map[int]bool{}
+	for i := 0; len(touched) < shards; i++ {
+		mo := fmt.Sprintf("mo-%d", i)
+		touched[s.shardIndex(mo)] = true
+		batch = append(batch, mkTraj(t, mo, "a", fmt.Sprintf("c%d", i)))
+	}
+	for gen := uint64(1); gen <= 3; gen++ {
+		s.PutBatch(batch)
+		if got := dirNames(t, fsys.dir); !slices.Equal(got, []string{filepath.Base(walPath(dir, gen))}) {
+			t.Fatalf("generation %d: wal dir holds %v, want its one log", gen, got)
+		}
+		syncs := fsys.syncs.Load()
+		if err := s.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if n := fsys.syncs.Load() - syncs; n != 1 {
+			t.Fatalf("generation %d: Sync fsynced %d files, want 1", gen, n)
+		}
+		creates := fsys.creates.Load()
+		if err := s.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if n := fsys.creates.Load() - creates; n != 1 {
+			t.Fatalf("generation %d: checkpoint rotation created %d files, want 1", gen, n)
+		}
 	}
 }
 
@@ -394,9 +468,9 @@ func TestOpenRejectsCorruptSegment(t *testing.T) {
 	mustClose(t, s)
 }
 
-// TestOpenRejectsNegativeShardWAL: a row WAL named for a negative shard is
-// an unrecognized file — writable and read-only opens report it by name
-// instead of indexing the shard list with it.
+// TestOpenRejectsNegativeShardWAL: a file named like a row log of the
+// earlier per-shard WAL layout but for a negative shard is an
+// unrecognized file — writable and read-only opens report it by name.
 func TestOpenRejectsNegativeShardWAL(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir, Options{Shards: 2})

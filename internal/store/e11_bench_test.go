@@ -54,6 +54,17 @@ func e11Corpus(tb testing.TB) []core.Trajectory {
 	return trajs
 }
 
+// The retired single-generation layout, which no build reads any more:
+// a version-1 manifest whose one generation is a full dictionary file and
+// one segment per shard, monolithic (SITMSEG1) in the earliest builds.
+// It is written only as E11's size baseline and as the input of the
+// rejection tests.
+const (
+	manifestV1  = 1
+	dictMagicV1 = "SITMDCT1"
+	segMagicV1  = "SITMSEG1"
+)
+
 // encodeDictFile serializes the three full dictionary pages: the
 // dictionary file of a version-1 manifest's generation.
 func encodeDictFile(cells, mos, pairs []string) []byte {
@@ -61,7 +72,7 @@ func encodeDictFile(cells, mos, pairs []string) []byte {
 	payload = symtab.AppendPage(payload, cells)
 	payload = symtab.AppendPage(payload, mos)
 	payload = symtab.AppendPage(payload, pairs)
-	return frame(dictMagic, payload)
+	return frame(dictMagicV1, payload)
 }
 
 // encodeSegmentV1 lays the captured columns out column-major: row count,

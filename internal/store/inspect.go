@@ -20,7 +20,7 @@ func InspectDir(dir string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	gens := man.generations()
+	gens := man.Gens
 	fmt.Fprintf(w, "MANIFEST: version %d, %d shards, generations %v, next seq %d\n",
 		man.Version, man.Shards, gens, man.NextSeq)
 	if len(gens) == 0 {

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
+	"maps"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -15,6 +17,7 @@ import (
 
 	"sitm/internal/core"
 	"sitm/internal/faultfs"
+	"sitm/internal/retry"
 )
 
 // Multi-segment layout tests: every checkpoint appends one generation (a
@@ -217,8 +220,9 @@ func layoutOf(s *Store) []writerLayout {
 }
 
 // TestFailedCheckpointLeavesWriterUnchanged: a checkpoint that fails
-// before its commit — writing a segment, syncing one, or renaming the
-// MANIFEST — changes nothing in memory: every shard keeps its
+// before its commit — syncing the directory of the next WAL generation's
+// file, writing a segment, syncing one, or renaming the MANIFEST — fails
+// transiently and changes nothing in memory: every shard keeps its
 // block-backed prefix, trajectory values and live zones, and every query
 // answers as before. Retried without the fault, the checkpoint commits and
 // swaps every row to blocks, and a cold open holds the same store.
@@ -233,6 +237,9 @@ func TestFailedCheckpointLeavesWriterUnchanged(t *testing.T) {
 		{"segment-write", faultfs.Fault{Op: faultfs.OpWrite, Path: segTmp, After: 1, Times: 1, Err: syscall.ENOSPC}},
 		{"segment-fsync", faultfs.Fault{Op: faultfs.OpSync, Path: segTmp, After: 1, Times: 1, Err: syscall.EIO}},
 		{"manifest-rename", faultfs.Fault{Op: faultfs.OpRename, Path: manifestName, Times: 1, Err: syscall.EIO}},
+		// The directory fsync that makes the next WAL generation's file
+		// durable, before the gate: the first sync of a path under wal/.
+		{"wal-dir-fsync", faultfs.Fault{Op: faultfs.OpSync, Path: string(filepath.Separator) + walDirName, Times: 1, Err: syscall.EIO}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -251,8 +258,8 @@ func TestFailedCheckpointLeavesWriterUnchanged(t *testing.T) {
 			before, want := layoutOf(s), storeJSON(t, s)
 
 			fsys.Add(tc.fault)
-			if err := s.Checkpoint(); !errors.Is(err, tc.fault.Err) {
-				t.Fatalf("checkpoint under the fault: err = %v, want %v", err, tc.fault.Err)
+			if err := s.Checkpoint(); !errors.Is(err, tc.fault.Err) || !retry.IsTransient(err) {
+				t.Fatalf("checkpoint under the fault: err = %v, want a transient %v", err, tc.fault.Err)
 			}
 			if n := fsys.Injected(); n != 1 {
 				t.Fatalf("%d faults injected, want 1", n)
@@ -285,6 +292,90 @@ func TestFailedCheckpointLeavesWriterUnchanged(t *testing.T) {
 				t.Fatal("cold open after the retry diverged from the writer")
 			}
 		})
+	}
+}
+
+// TestCheckpointRotationKeepsUnloggedSymbols: a writer interns its symbols
+// before it takes the checkpoint gate, so a rotation can come between the
+// interning and the logging. The rotation must leave those symbols
+// unlogged: the writer logs them into the new WAL generation ahead of its
+// rows. Here the checkpoint then fails at its MANIFEST rename, so the new
+// generation's rows are durable only through the WAL; a cold open of a
+// copy taken after the Sync must hold every acknowledged row.
+func TestCheckpointRotationKeepsUnloggedSymbols(t *testing.T) {
+	dir := t.TempDir()
+	fsys := faultfs.NewInjector(nil)
+	s := mustOpen(t, dir, Options{Shards: shardCount(), FS: fsys})
+	defer mustClose(t, s)
+	ref := NewSharded(1)
+	first := []core.Trajectory{mkTraj(t, "mo-0", "a", "b")}
+	s.PutBatch(first)
+	ref.PutBatch(first)
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+
+	// A writer waiting at the gate has interned its cell already.
+	s.cells.Intern("waiting")
+	ref.cells.Intern("waiting")
+	fsys.Add(faultfs.Fault{Op: faultfs.OpRename, Path: manifestName, Times: 1, Err: syscall.EIO})
+	if err := s.Checkpoint(); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("checkpoint under the fault: err = %v, want EIO", err)
+	}
+	more := []core.Trajectory{mkTraj(t, "mo-1", "waiting", "a"), mkTraj(t, "mo-2", "b", "waiting")}
+	s.PutBatch(more)
+	ref.PutBatch(more)
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+
+	cold := mustOpen(t, copyTree(t, dir), Options{})
+	defer mustClose(t, cold)
+	if cold.Len() != ref.Len() {
+		t.Fatalf("cold open holds %d of the %d acknowledged rows", cold.Len(), ref.Len())
+	}
+	if storeJSON(t, cold) != storeJSON(t, ref) {
+		t.Fatal("cold open diverged from the acknowledged rows")
+	}
+}
+
+// TestRotationSyncFailureKeepsRowsOutOfNextLog: a checkpoint whose
+// rotation cannot sync the old log fails, and the rows put after it must
+// not reach the next generation's log, since they may use symbols only
+// the old log's unsynced tail holds. After a crash that loses that tail,
+// the directory opens with every acknowledged row.
+func TestRotationSyncFailureKeepsRowsOutOfNextLog(t *testing.T) {
+	dir := t.TempDir()
+	fsys := faultfs.NewInjector(nil)
+	s := mustOpen(t, dir, Options{Shards: shardCount(), FS: fsys})
+	acked := []core.Trajectory{mkTraj(t, "mo-0", "a", "b")}
+	s.PutBatch(acked)
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	synced := walSize(s)
+	s.PutBatch([]core.Trajectory{mkTraj(t, "mo-1", "c")})
+	fsys.Add(faultfs.Fault{Op: faultfs.OpSync, Path: walPath(dir, 1), Times: 1, Err: syscall.EIO})
+	if err := s.Checkpoint(); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("checkpoint whose rotation cannot sync the old log: err = %v, want EIO", err)
+	}
+	s.PutBatch([]core.Trajectory{mkTraj(t, "mo-1", "c", "a")})
+	if err := s.Sync(); err == nil {
+		t.Fatal("Sync after the failed log sync succeeded")
+	}
+	s.Close()
+
+	// The crash keeps only what the last successful Sync covered.
+	probe := copyTree(t, dir)
+	if err := os.Truncate(walPath(probe, 1), synced); err != nil {
+		t.Fatal(err)
+	}
+	got := mustOpen(t, probe, Options{})
+	defer mustClose(t, got)
+	ref := NewSharded(1)
+	ref.PutBatch(acked)
+	if storeJSON(t, got) != storeJSON(t, ref) {
+		t.Fatal("recovery after the failed rotation diverged from the acknowledged rows")
 	}
 }
 
@@ -347,83 +438,172 @@ func writeParentV2Dir(t *testing.T, dir string, trajs []core.Trajectory, shards 
 	}
 }
 
-// TestParentLayoutOpensAndUpgrades: a directory in the previous build's
-// layout (version-1 manifest, full dictionary file, SITMSEG2 segments)
-// opens read-only and writable as the identical store, and the next
-// checkpoint writes the multi-generation layout: the SITMSEG2 generation
-// is kept and the new rows follow it.
-func TestParentLayoutOpensAndUpgrades(t *testing.T) {
+// checkManifestV1Rejected checks that read-only Open, writable Open and
+// InspectDir each fail on dir, whose manifest is version 1, with an error
+// that names MANIFEST.json and the way to upgrade once, and leave the
+// directory byte-identical.
+func checkManifestV1Rejected(t *testing.T, dir string) {
+	t.Helper()
+	before := dirBytes(t, dir)
+	open := func(opts Options) func() error {
+		return func() error {
+			s, err := Open(dir, opts)
+			if err == nil {
+				s.Close()
+			}
+			return err
+		}
+	}
+	for _, tc := range []struct {
+		what string
+		run  func() error
+	}{
+		{"read-only Open", open(Options{ReadOnly: true})},
+		{"writable Open", open(Options{})},
+		{"InspectDir", func() error { return InspectDir(dir, io.Discard) }},
+	} {
+		err := tc.run()
+		if err == nil {
+			t.Fatalf("%s of a version-1 directory succeeded", tc.what)
+		}
+		for _, want := range []string{filepath.Join(dir, manifestName), "version 1", "earlier build", "sitm compact -store " + dir} {
+			if n := strings.Count(err.Error(), want); n != 1 {
+				t.Fatalf("%s: error %q mentions %q %d times, want once", tc.what, err, want, n)
+			}
+		}
+		if !maps.Equal(dirBytes(t, dir), before) {
+			t.Fatalf("%s changed the directory", tc.what)
+		}
+	}
+}
+
+// TestManifestV1LayoutRejected: the single-generation layout (version-1
+// manifest, full dictionary file, SITMSEG2 segments) is no longer read:
+// every open and InspectDir reject it with the manifest's error and
+// leave it as it was. An earlier build rewrites it into the
+// multi-generation layout at its first checkpoint that commits rows.
+func TestManifestV1LayoutRejected(t *testing.T) {
 	shards := shardCount()
 	if shards == 0 {
 		shards = 2
 	}
-	genFiles := func(gen uint64) []string {
-		names := []string{filepath.Base(segDictPath("", gen))}
-		for i := 0; i < shards; i++ {
-			names = append(names, filepath.Base(segPath("", gen, i)))
+	dir := t.TempDir()
+	writeParentV2Dir(t, dir, richCorpusTrajs(rand.New(rand.NewSource(53)), 120), shards)
+	checkManifestV1Rejected(t, dir)
+}
+
+// earlierLayoutDir writes a two-checkpoint directory holding trajs, then
+// swaps its WAL for the earlier per-shard layout's files of the current
+// generation (3): a dictionary log and one row log per shard, each holding
+// data (or, when empty, what a drain, a compact or a checkpoint by an
+// earlier build leaves).
+func earlierLayoutDir(t *testing.T, trajs []core.Trajectory, shards int, data []byte) (dir string, old []string) {
+	t.Helper()
+	dir = t.TempDir()
+	s := mustOpen(t, dir, Options{Shards: shards})
+	for _, half := range [][]core.Trajectory{trajs[:len(trajs)/2], trajs[len(trajs)/2:]} {
+		s.PutBatch(half)
+		if err := s.Checkpoint(); err != nil {
+			t.Fatal(err)
 		}
-		slices.Sort(names)
-		return names
 	}
-	for _, tc := range []struct {
-		name     string
-		write    func(*testing.T, string, []core.Trajectory, int)
-		segments int    // committed segments the store reports at open
-		gens     string // generations listed after the upgrade
-		segFiles []string
-	}{
-		{"v2-segments", writeParentV2Dir,
-			shards, "[1 2]", append(genFiles(1), genFiles(2)...)},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(53))
-			trajs := richCorpusTrajs(rng, 120)
-			oracle := NewSharded(1)
-			oracle.PutBatch(trajs)
-			dir := t.TempDir()
-			tc.write(t, dir, trajs, shards)
+	mustClose(t, s)
+	if err := os.Remove(walPath(dir, 3)); err != nil {
+		t.Fatal(err)
+	}
+	old = []string{filepath.Join(dir, walDirName, "00000003.dict.wal")}
+	for i := 0; i < shards; i++ {
+		old = append(old, filepath.Join(dir, walDirName, fmt.Sprintf("00000003-%04d.row.wal", i)))
+	}
+	for _, p := range old {
+		if err := os.WriteFile(p, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir, old
+}
 
-			for _, ro := range []bool{true, false} {
-				s := mustOpen(t, dir, Options{ReadOnly: ro})
-				if got, want := storeJSON(t, s), storeJSON(t, oracle); got != want {
-					t.Fatalf("read-only=%v open of the parent layout diverged", ro)
-				}
-				compareStores(t, oracle, s, rng)
-				if st, _ := s.Durability(); st.Gen != 1 || st.Segments != tc.segments {
-					t.Fatalf("read-only=%v: %+v, want gen 1 with %d segments", ro, st, tc.segments)
-				}
-				if ro {
-					mustClose(t, s)
-					continue
-				}
-				more := richCorpusTrajs(rng, 30)
-				s.PutBatch(more)
-				oracle.PutBatch(more)
-				if err := s.Checkpoint(); err != nil {
-					t.Fatal(err)
-				}
-				mustClose(t, s)
-			}
+// TestParentLayoutOpensAndUpgrades: a directory in the previous build's
+// layout (version-2 manifest, SITMSEG2 segments, a dictionary log and one
+// row log per shard) that a drain or checkpoint left with empty WAL files
+// opens and upgrades. A read-only open loads the store and leaves the old
+// files; a writable open loads the same store, deletes them, and starts
+// its one log at their generation, which the next checkpoint then follows.
+func TestParentLayoutOpensAndUpgrades(t *testing.T) {
+	t.Run("v2-segments", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(67))
+		trajs := richCorpusTrajs(rng, 60)
+		ref := NewSharded(1)
+		ref.PutBatch(trajs)
+		dir, old := earlierLayoutDir(t, trajs, 2, nil)
 
-			man, err := readManifest(faultfs.OS, dir)
-			if err != nil {
-				t.Fatal(err)
+		before := dirBytes(t, dir)
+		ro := mustOpen(t, dir, Options{ReadOnly: true})
+		if storeJSON(t, ro) != storeJSON(t, ref) {
+			t.Fatal("read-only open of the drained earlier layout diverged")
+		}
+		mustClose(t, ro)
+		if !maps.Equal(dirBytes(t, dir), before) {
+			t.Fatal("read-only open changed the directory")
+		}
+
+		rw := mustOpen(t, dir, Options{})
+		if storeJSON(t, rw) != storeJSON(t, ref) {
+			t.Fatal("writable open of the drained earlier layout diverged")
+		}
+		for _, p := range old {
+			if _, err := os.Stat(p); !os.IsNotExist(err) {
+				t.Errorf("%s survived a writable open: %v", p, err)
 			}
-			if man.Version != manifestVersion || fmt.Sprint(man.Gens) != tc.gens {
-				t.Fatalf("manifest after upgrade: %+v, want version %d listing %s", man, manifestVersion, tc.gens)
+		}
+		if got := dirNames(t, filepath.Join(dir, walDirName)); fmt.Sprint(got) != "[00000003.wal]" {
+			t.Fatalf("wal dir after the writable open: %v, want [00000003.wal]", got)
+		}
+		more := richCorpusTrajs(rng, 10)
+		rw.PutBatch(more)
+		ref.PutBatch(more)
+		if err := rw.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		mustClose(t, rw)
+		if got := dirNames(t, filepath.Join(dir, walDirName)); fmt.Sprint(got) != "[00000004.wal]" {
+			t.Fatalf("wal dir after the next checkpoint: %v, want [00000004.wal]", got)
+		}
+		again := mustOpen(t, dir, Options{ReadOnly: true})
+		defer mustClose(t, again)
+		if storeJSON(t, again) != storeJSON(t, ref) {
+			t.Fatal("reopen after the upgrade diverged")
+		}
+	})
+}
+
+// TestNonEmptyEarlierWALLayoutRejected: a non-empty file of the earlier
+// per-shard WAL layout holds rows or symbols this build cannot replay, so
+// both opens fail with an error naming it and the way to upgrade, and
+// leave the directory byte-identical.
+func TestNonEmptyEarlierWALLayoutRejected(t *testing.T) {
+	trajs := richCorpusTrajs(rand.New(rand.NewSource(71)), 20)
+	for k := 0; k < 3; k++ { // the dictionary log, then each shard's row log
+		dir, old := earlierLayoutDir(t, trajs, 2, nil)
+		if err := os.WriteFile(old[k], []byte("frames"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		before := dirBytes(t, dir)
+		for _, ro := range []bool{true, false} {
+			s, err := Open(dir, Options{ReadOnly: ro})
+			if err == nil {
+				s.Close()
+				t.Fatalf("read-only=%v: Open accepted %s", ro, old[k])
 			}
-			if got := dirNames(t, filepath.Join(dir, segDirName)); !slices.Equal(got, tc.segFiles) {
-				t.Fatalf("seg dir after upgrade: %v, want %v", got, tc.segFiles)
-			}
-			for _, ro := range []bool{true, false} {
-				s := mustOpen(t, dir, Options{ReadOnly: ro})
-				if got, want := storeJSON(t, s), storeJSON(t, oracle); got != want {
-					t.Fatalf("read-only=%v reopen after the upgrade diverged", ro)
+			for _, want := range []string{old[k], "earlier build", "sitm compact -store " + dir} {
+				if !strings.Contains(err.Error(), want) {
+					t.Fatalf("read-only=%v: error %q does not mention %q", ro, err, want)
 				}
-				compareStores(t, oracle, s, rng)
-				mustClose(t, s)
 			}
-		})
+			if !maps.Equal(dirBytes(t, dir), before) {
+				t.Fatalf("read-only=%v: the failed open changed the directory", ro)
+			}
+		}
 	}
 }
 

@@ -44,8 +44,8 @@ func seedReadOnlyDir(t *testing.T) string {
 	s.Put(mkTraj(t, "mo-3", "c", "d"))
 	mustClose(t, s)
 
-	// Tear a row WAL tail by hand: read-only recovery must stop at the
-	// last intact frame without truncating the file.
+	// Tear the WAL tail by hand: read-only recovery must stop at the last
+	// intact frame without truncating the file.
 	ents, err := os.ReadDir(filepath.Join(dir, "wal"))
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"cmp"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -9,7 +10,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -24,8 +24,8 @@ import (
 //	dir/seg/<gen>.dict       dictionary delta: the symbols gen added
 //	dir/seg/<gen>-<shard>.seg one immutable columnar segment per shard: the
 //	                         rows the shard gained since the previous gen
-//	dir/wal/<gen>.dict.wal   dict-delta WAL (global)
-//	dir/wal/<gen>-<shard>.row.wal row WAL, one per shard
+//	dir/wal/<gen>.wal        the write-ahead log: dictionary deltas and
+//	                         every shard's rows, in append order
 //
 // Each checkpoint adds one generation and the manifest lists every
 // committed generation in order; a store is the concatenation of its
@@ -37,19 +37,11 @@ import (
 // detected, not half-loaded.
 
 const (
-	manifestName = "MANIFEST.json"
-	walDirName   = "wal"
-	segDirName   = "seg"
-	// manifestV1 is the single-generation layout older builds write: one
-	// full dictionary file and one segment per shard at Gen. Read, never
-	// written.
-	manifestV1      = 1
+	manifestName    = "MANIFEST.json"
+	walDirName      = "wal"
+	segDirName      = "seg"
 	manifestVersion = 2
 
-	// segMagicV1 marks the retired monolithic segment format; it is
-	// recognized only to reject it (parseSegHeader).
-	segMagicV1     = "SITMSEG1"
-	dictMagic      = "SITMDCT1" // full dictionary pages (manifest v1)
 	dictDeltaMagic = "SITMDCT2" // per dictionary: first new id + page
 
 	// WAL record types.
@@ -63,17 +55,8 @@ type manifest struct {
 	Shards  int    `json:"shards"`
 	Gen     uint64 `json:"gen"`      // newest segment generation (0 = none)
 	NextSeq uint64 `json:"next_seq"` // rows with seq < NextSeq live in segments
-	// Gens lists the committed generations, oldest first (version 2; a
-	// version-1 manifest's only generation is Gen).
+	// Gens lists the committed generations, oldest first.
 	Gens []uint64 `json:"gens,omitempty"`
-}
-
-// generations returns the committed generations, oldest first.
-func (m *manifest) generations() []uint64 {
-	if m.Version == manifestV1 && m.Gen > 0 {
-		return []uint64{m.Gen}
-	}
-	return m.Gens
 }
 
 func segDictPath(dir string, gen uint64) string {
@@ -84,12 +67,8 @@ func segPath(dir string, gen uint64, shard int) string {
 	return filepath.Join(dir, segDirName, fmt.Sprintf("%08d-%04d.seg", gen, shard))
 }
 
-func walDictPath(dir string, gen uint64) string {
-	return filepath.Join(dir, walDirName, fmt.Sprintf("%08d.dict.wal", gen))
-}
-
-func walRowPath(dir string, gen uint64, shard int) string {
-	return filepath.Join(dir, walDirName, fmt.Sprintf("%08d-%04d.row.wal", gen, shard))
+func walPath(dir string, gen uint64) string {
+	return filepath.Join(dir, walDirName, fmt.Sprintf("%08d.wal", gen))
 }
 
 func readManifest(fsys faultfs.FS, dir string) (*manifest, error) {
@@ -104,21 +83,23 @@ func readManifest(fsys faultfs.FS, dir string) (*manifest, error) {
 	if err := json.Unmarshal(data, &m); err != nil {
 		return nil, fmt.Errorf("store: manifest: %w", err)
 	}
-	if m.Version != manifestVersion && m.Version != manifestV1 {
-		return nil, fmt.Errorf("store: manifest version %d, want %d or %d", m.Version, manifestV1, manifestVersion)
+	if m.Version != manifestVersion {
+		// An earlier build rewrites a version-1 manifest only at a
+		// checkpoint that commits something: a checkpoint with no new row
+		// or symbol writes no file.
+		return nil, fmt.Errorf("store: %s is version %d; this build reads only version %d. An earlier build upgrades it at its first checkpoint with rows to commit (ingest into the directory with that build, then run `sitm compact -store %s`); or re-ingest the rows into a new directory",
+			filepath.Join(dir, manifestName), m.Version, manifestVersion, dir)
 	}
 	if m.Shards <= 0 {
 		return nil, fmt.Errorf("store: manifest shards %d", m.Shards)
 	}
-	if m.Version == manifestVersion {
-		for i, g := range m.Gens {
-			if g == 0 || i > 0 && g <= m.Gens[i-1] {
-				return nil, fmt.Errorf("store: manifest generations %v not strictly ascending", m.Gens)
-			}
+	for i, g := range m.Gens {
+		if g == 0 || i > 0 && g <= m.Gens[i-1] {
+			return nil, fmt.Errorf("store: manifest generations %v not strictly ascending", m.Gens)
 		}
-		if n := len(m.Gens); n > 0 && m.Gens[n-1] != m.Gen || n == 0 && m.Gen != 0 {
-			return nil, fmt.Errorf("store: manifest gen %d is not its newest generation %v", m.Gen, m.Gens)
-		}
+	}
+	if n := len(m.Gens); n > 0 && m.Gens[n-1] != m.Gen || n == 0 && m.Gen != 0 {
+		return nil, fmt.Errorf("store: manifest gen %d is not its newest generation %v", m.Gen, m.Gens)
 	}
 	return &m, nil
 }
@@ -227,7 +208,7 @@ func (dd *dictDelta) empty() bool {
 }
 
 // encodeDictDelta serializes a generation's dictionary file: per
-// dictionary the first new id and a symbol page — a dict-WAL delta
+// dictionary the first new id and a symbol page — a WAL delta
 // record per dictionary, framed and checksummed.
 func encodeDictDelta(dd *dictDelta) []byte {
 	var payload []byte
@@ -238,29 +219,20 @@ func encodeDictDelta(dd *dictDelta) []byte {
 	return frame(dictDeltaMagic, payload)
 }
 
-// decodeDictFile decodes a generation's dictionary file: a delta
-// (SITMDCT2), or the full pages a version-1 manifest's generation carries
-// (SITMDCT1), which is a delta from id 0.
+// decodeDictFile decodes a generation's dictionary delta file (SITMDCT2).
 func decodeDictFile(data []byte, path string) (*dictDelta, error) {
-	full := len(data) >= len(dictMagic) && string(data[:len(dictMagic)]) == dictMagic
-	magic := dictDeltaMagic
-	if full {
-		magic = dictMagic
-	}
-	payload, err := unframe(magic, data, path)
+	payload, err := unframe(dictDeltaMagic, data, path)
 	if err != nil {
 		return nil, err
 	}
 	dd := &dictDelta{}
 	for k, name := range [3]string{"cells", "mos", "pairs"} {
-		if !full {
-			from, w := binary.Uvarint(payload)
-			if w <= 0 || from > math.MaxInt32 {
-				return nil, fmt.Errorf("store: %s %s: bad start id", path, name)
-			}
-			dd.from[k] = int(from)
-			payload = payload[w:]
+		from, w := binary.Uvarint(payload)
+		if w <= 0 || from > math.MaxInt32 {
+			return nil, fmt.Errorf("store: %s %s: bad start id", path, name)
 		}
+		dd.from[k] = int(from)
+		payload = payload[w:]
 		if dd.syms[k], payload, err = symtab.DecodePage(payload); err != nil {
 			return nil, fmt.Errorf("store: %s %s: %w", path, name, err)
 		}
@@ -319,54 +291,64 @@ func segFileGen(name string) (uint64, bool) {
 	return gen, err == nil
 }
 
-// walFile is one discovered WAL file: its generation and path.
+// walFile is one discovered WAL file: its generation, path and size.
 type walFile struct {
 	gen  uint64
 	path string
+	size int64
 }
 
-// listWALFiles scans dir/wal and returns the dict WALs and per-shard row
-// WALs in ascending generation order. Files for shards ≥ nShards mean the
-// directory was written with a different layout and error out.
-func listWALFiles(fsys faultfs.FS, dir string, nShards int) (dicts []walFile, rows [][]walFile, err error) {
+// listWALFiles scans dir/wal and returns the logs in ascending generation
+// order, and the empty files of the earlier per-shard layout
+// (<gen>.dict.wal, <gen>-<shard>.row.wal) — what that layout leaves after
+// a drain or a checkpoint. A non-empty file of that layout holds rows or
+// symbols no log has, so it fails the listing with the way to upgrade.
+func listWALFiles(fsys faultfs.FS, dir string) (logs, drained []walFile, err error) {
 	entries, err := fsys.ReadDir(filepath.Join(dir, walDirName))
 	if err != nil {
 		return nil, nil, err
 	}
-	rows = make([][]walFile, nShards)
 	for _, e := range entries {
 		name := e.Name()
-		full := filepath.Join(dir, walDirName, name)
-		switch {
-		case strings.HasSuffix(name, ".dict.wal"):
-			gen, err := strconv.ParseUint(strings.TrimSuffix(name, ".dict.wal"), 10, 64)
-			if err != nil {
-				return nil, nil, fmt.Errorf("store: unrecognized wal file %s", name)
-			}
-			dicts = append(dicts, walFile{gen, full})
-		case strings.HasSuffix(name, ".row.wal"):
-			base := strings.TrimSuffix(name, ".row.wal")
-			genStr, shardStr, ok := strings.Cut(base, "-")
-			if !ok {
-				return nil, nil, fmt.Errorf("store: unrecognized wal file %s", name)
-			}
-			gen, err1 := strconv.ParseUint(genStr, 10, 64)
-			shard, err2 := strconv.Atoi(shardStr)
-			if err1 != nil || err2 != nil || shard < 0 {
-				return nil, nil, fmt.Errorf("store: unrecognized wal file %s", name)
-			}
-			if shard >= nShards {
-				return nil, nil, fmt.Errorf("store: wal file %s names shard %d of %d", name, shard, nShards)
-			}
-			rows[shard] = append(rows[shard], walFile{gen, full})
-		default:
+		gen, old, ok := parseWALName(name)
+		if !ok {
 			return nil, nil, fmt.Errorf("store: unrecognized wal file %s", name)
 		}
+		info, err := e.Info()
+		if err != nil {
+			return nil, nil, err
+		}
+		wf := walFile{gen, filepath.Join(dir, walDirName, name), info.Size()}
+		if !old {
+			logs = append(logs, wf)
+			continue
+		}
+		if wf.size != 0 {
+			return nil, nil, fmt.Errorf("store: %s is a non-empty log of the earlier per-shard WAL layout, which this build no longer reads: open the directory with an earlier build and run `sitm compact -store %s` first", wf.path, dir)
+		}
+		drained = append(drained, wf)
 	}
-	sort.Slice(dicts, func(i, j int) bool { return dicts[i].gen < dicts[j].gen })
-	for i := range rows {
-		r := rows[i]
-		sort.Slice(r, func(a, b int) bool { return r[a].gen < r[b].gen })
+	slices.SortFunc(logs, func(a, b walFile) int { return cmp.Compare(a.gen, b.gen) })
+	return logs, drained, nil
+}
+
+// parseWALName parses a WAL file name: <gen>.wal, or (old) a file of the
+// earlier per-shard layout.
+func parseWALName(name string) (gen uint64, old, ok bool) {
+	base, old := strings.CutSuffix(name, ".dict.wal")
+	if !old {
+		if base, old = strings.CutSuffix(name, ".row.wal"); old {
+			var shard string
+			if base, shard, ok = strings.Cut(base, "-"); !ok {
+				return 0, false, false
+			}
+			if _, err := strconv.ParseUint(shard, 10, 32); err != nil {
+				return 0, false, false
+			}
+		} else if base, ok = strings.CutSuffix(name, ".wal"); !ok {
+			return 0, false, false
+		}
 	}
-	return dicts, rows, nil
+	gen, err := strconv.ParseUint(base, 10, 64)
+	return gen, old, err == nil
 }

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"slices"
 	"sync"
 
 	"sitm/internal/core"
@@ -143,6 +144,20 @@ func (sh *shard) addSlot(seq uint64, t core.Trajectory, moID int32, enc, ann, re
 	sh.ends = append(sh.ends, saturatingNanos(t.End()))
 	sh.foldZone(slot, t.Trace)
 	sh.indexSlot(slot, moID, enc, ann, regs)
+}
+
+// reserve makes room in the shard's columns for n more slots, so a
+// recovery that knows how many rows it replays grows each column once.
+//
+//sitm:locked
+func (sh *shard) reserve(n int) {
+	sh.seqs = slices.Grow(sh.seqs, n)
+	sh.trajs = slices.Grow(sh.trajs, n)
+	sh.encs = slices.Grow(sh.encs, n)
+	sh.anns = slices.Grow(sh.anns, n)
+	sh.moIDs = slices.Grow(sh.moIDs, n)
+	sh.starts = slices.Grow(sh.starts, n)
+	sh.ends = slices.Grow(sh.ends, n)
 }
 
 // foldZone folds the live slot, whose columns are in place, into the
@@ -316,23 +331,6 @@ func (sh *shard) addAll(out *shardRows) {
 	}
 	for i := range sh.trajs {
 		out.refs = append(out.refs, rowRef{live: &sh.trajs[i]})
-	}
-}
-
-// insertRecovered appends decoded WAL-tail rows to this shard's columns,
-// postings and live zones, carrying each row's original insertion
-// sequence explicitly — recovered sequences are not contiguous. Region postings are left empty: a later
-// AttachRegions rebuilds them from the recovered trajectories, the same
-// contract the in-memory store has.
-func (sh *shard) insertRecovered(rows []durableRow) {
-	if len(rows) == 0 {
-		return
-	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	for ri := range rows {
-		r := &rows[ri]
-		sh.addSlot(r.seq, r.traj, r.moID, r.enc, r.ann, nil)
 	}
 }
 

@@ -160,7 +160,7 @@ func (s *Store) Put(t core.Trajectory) { s.PutBatch([]core.Trajectory{t}) }
 // every touched shard is visited once, under its own lock, where postings
 // and the newest zone map grow in O(trace length) per trajectory and
 // disjoint moving objects never contend. A durable store logs the batch
-// to its WALs first, and does not apply a batch holding a time outside
+// to its WAL first, and does not apply a batch holding a time outside
 // the int64 nanosecond range its WAL stores — the whole batch is dropped
 // and the rejection is reported by Sync. A durable store keeps each row in
 // the form its WAL and blocks decode to (canonicalRows: times in UTC,

@@ -16,7 +16,6 @@ package wal
 import (
 	"bufio"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -40,18 +39,10 @@ const (
 	MaxBody = 1 << 28
 )
 
-// ErrStopReplay, returned by an Open replay callback, tells the scanner to
-// treat the current record as the start of a torn tail: stop replaying and
-// truncate the log just before it. The store uses this when a row record
-// references dictionary ids whose deltas never reached the (separately
-// synced) dict log before the crash — the record is intact but its
-// prerequisites are not, so it must not survive recovery.
-var ErrStopReplay = errors.New("wal: stop replay")
-
 // Log is an append-only record log. Appends are buffered; Sync flushes and
 // fsyncs. All methods are safe for concurrent use, though callers needing
-// a specific interleaving of appends (the store's per-shard sequence
-// ordering) serialize externally.
+// a specific interleaving of appends (the store's dictionary deltas
+// before the rows that use them) serialize externally.
 type Log struct {
 	path string
 
@@ -80,8 +71,7 @@ type Log struct {
 // record through replay in order, truncates any torn or corrupt tail, and
 // returns the log positioned for appending. replay may be nil to skip
 // record delivery (the tail is still validated and truncated). A non-nil
-// replay error aborts Open — except ErrStopReplay, which truncates the log
-// just before the offending record and opens it normally.
+// replay error aborts Open.
 func Open(path string, replay func(typ byte, payload []byte) error) (*Log, error) {
 	return OpenFS(faultfs.OS, path, replay)
 }
@@ -182,9 +172,6 @@ func scan(f faultfs.File, replay func(typ byte, payload []byte) error) (int64, e
 		}
 		if replay != nil {
 			if err := replay(body[0], body[1:]); err != nil {
-				if errors.Is(err, ErrStopReplay) {
-					return valid, nil
-				}
 				return 0, err
 			}
 		}

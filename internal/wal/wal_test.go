@@ -221,48 +221,8 @@ func TestAppendAfterRecoveryContinues(t *testing.T) {
 	}
 }
 
-// TestStopReplayTruncates: a callback returning ErrStopReplay drops the
-// offending record and everything after it from the file.
-func TestStopReplayTruncates(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "t.wal")
-	l, err := Open(path, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		if err := l.Append(byte(i), nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	var seen []byte
-	l2, err := Open(path, func(typ byte, _ []byte) error {
-		if typ == 3 {
-			return ErrStopReplay
-		}
-		seen = append(seen, typ)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := l2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(seen, []byte{0, 1, 2}) {
-		t.Fatalf("replayed types %v, want [0 1 2]", seen)
-	}
-	got, l3 := replayAll(t, path)
-	defer l3.Close()
-	if len(got) != 3 {
-		t.Fatalf("after ErrStopReplay truncation, %d records remain, want 3", len(got))
-	}
-}
-
-// TestReplayErrorAbortsOpen: a non-sentinel replay error must fail Open
-// outright rather than silently truncating.
+// TestReplayErrorAbortsOpen: a replay error must fail Open outright
+// rather than silently truncating.
 func TestReplayErrorAbortsOpen(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "t.wal")
 	l, err := Open(path, nil)
