@@ -9,7 +9,7 @@
 // package os used by all production code, and Injector, a wrapper that
 // fails selected operations according to a fault plan. Injected failures
 // are indistinguishable from real ones by construction: they surface as
-// ordinary errors from Write/Sync/Rename, at the exact syscall boundary
+// ordinary errors from Read/Write/Sync/Rename, at the exact syscall boundary
 // the real failure would occur, including the partially-performed side
 // effects (a short write writes its prefix; a failed sync leaves the file
 // dirty; a failed rename leaves the temp file behind).
@@ -24,6 +24,7 @@ import (
 // File is the subset of *os.File the durability stack uses.
 type File interface {
 	io.Reader
+	io.ReaderAt
 	io.Writer
 	io.Seeker
 	io.Closer
@@ -109,6 +110,9 @@ const (
 	OpRename
 	// OpRemove is Remove.
 	OpRemove
+	// OpRead is File.Read and File.ReadAt (on any file opened through
+	// the FS), and ReadFile.
+	OpRead
 )
 
 func (o Op) String() string {
@@ -125,6 +129,8 @@ func (o Op) String() string {
 		return "rename"
 	case OpRemove:
 		return "remove"
+	case OpRead:
+		return "read"
 	}
 	return "op?"
 }
@@ -297,17 +303,37 @@ func (in *Injector) MkdirAll(path string, perm os.FileMode) error {
 	return in.base.MkdirAll(path, perm)
 }
 
-func (in *Injector) ReadFile(name string) ([]byte, error)       { return in.base.ReadFile(name) }
+func (in *Injector) ReadFile(name string) ([]byte, error) {
+	if f := in.hit(OpRead, name); f != nil {
+		return nil, &os.PathError{Op: "read", Path: name, Err: f.Err}
+	}
+	return in.base.ReadFile(name)
+}
+
 func (in *Injector) ReadDir(name string) ([]os.DirEntry, error) { return in.base.ReadDir(name) }
 func (in *Injector) Stat(name string) (os.FileInfo, error)      { return in.base.Stat(name) }
 
-// faultFile routes Write and Sync through the injector's fault plan.
+// faultFile routes Read, ReadAt, Write and Sync through the injector's
+// fault plan.
 type faultFile struct {
 	in *Injector
 	f  File
 }
 
-func (f *faultFile) Read(p []byte) (int, error)                { return f.f.Read(p) }
+func (f *faultFile) Read(p []byte) (int, error) {
+	if flt := f.in.hit(OpRead, f.f.Name()); flt != nil {
+		return 0, &os.PathError{Op: "read", Path: f.f.Name(), Err: flt.Err}
+	}
+	return f.f.Read(p)
+}
+
+func (f *faultFile) ReadAt(p []byte, off int64) (int, error) {
+	if flt := f.in.hit(OpRead, f.f.Name()); flt != nil {
+		return 0, &os.PathError{Op: "read", Path: f.f.Name(), Err: flt.Err}
+	}
+	return f.f.ReadAt(p, off)
+}
+
 func (f *faultFile) Seek(off int64, whence int) (int64, error) { return f.f.Seek(off, whence) }
 func (f *faultFile) Close() error                              { return f.f.Close() }
 func (f *faultFile) Name() string                              { return f.f.Name() }

@@ -140,3 +140,41 @@ func TestInjectorCreateAndReset(t *testing.T) {
 	}
 	f.Close()
 }
+
+func TestInjectorFailsReadsOnMatchingPath(t *testing.T) {
+	dir := t.TempDir()
+	seg, other := filepath.Join(dir, "1-0000.seg"), filepath.Join(dir, "other")
+	for _, p := range []string{seg, other} {
+		if err := os.WriteFile(p, []byte("payload"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	in := NewInjector(nil)
+	in.Add(Fault{Op: OpRead, Path: ".seg", Times: 2, Err: syscall.EIO})
+
+	f, err := in.OpenFile(seg, os.O_RDONLY, 0)
+	if err != nil {
+		t.Fatalf("open should pass (a read fault is not an open fault): %v", err)
+	}
+	defer f.Close()
+	buf := make([]byte, 3)
+	if _, err := f.ReadAt(buf, 2); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("ReadAt should fail with EIO, got %v", err)
+	}
+	if _, err := in.ReadFile(seg); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("ReadFile should fail with EIO, got %v", err)
+	}
+	if got, err := in.ReadFile(other); err != nil || string(got) != "payload" {
+		t.Fatalf("non-matching ReadFile = %q, %v", got, err)
+	}
+	// Times: 2 is spent, so the fault has cleared.
+	if n, err := f.ReadAt(buf, 2); err != nil || string(buf[:n]) != "ylo" {
+		t.Fatalf("ReadAt after the fault cleared = %q, %v", buf[:n], err)
+	}
+	if n, err := f.Read(buf); err != nil || string(buf[:n]) != "pay" {
+		t.Fatalf("Read = %q, %v", buf[:n], err)
+	}
+	if got := in.Injected(); got != 2 {
+		t.Fatalf("Injected() = %d, want 2", got)
+	}
+}

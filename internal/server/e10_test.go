@@ -13,15 +13,21 @@ package server
 //   - Transient faults are absorbed: an injected failure of the manifest
 //     commit rename (pre-commit-point, WALs still authoritative) is
 //     retried by the drain path and the checkpoint lands.
+//   - A segment block that cannot be read back fails only the query that
+//     needed it, with a 500, and the same query succeeds once the read
+//     does.
 //
 // BenchmarkE10Serving is the measurement half: the loadgen at 1×/2×/4×
 // capacity, reporting accepted p50/p99 and the shed fraction.
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"net/http/httptest"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -246,5 +252,34 @@ func BenchmarkE10Serving(b *testing.B) {
 			}
 			b.ReportMetric(float64(accepted)/float64(b.N), "accepted/op")
 		})
+	}
+}
+
+// TestE10SegmentReadFaultFailsQueryWith500: a read error on a segment
+// file after a clean open fails a query that misses on the file's blocks
+// with a typed 500 (trajectory and mos_only replies alike; the server
+// stays up), and the same query answers 200 once the fault clears.
+func TestE10SegmentReadFaultFailsQueryWith500(t *testing.T) {
+	dir := t.TempDir()
+	inj := faultfs.NewInjector(faultfs.OS)
+	st := openBlockStore(t, dir, store.Options{Shards: 1, FS: inj, BlockCacheBytes: -1},
+		blockReplyTrajs(rand.New(rand.NewSource(29)), 200), 2)
+	defer st.Close()
+	_, ts := newTestServer(t, st, Config{})
+	plan := replyPlans()[0] // the whole month: every block's rows
+	postQuery(t, ts.URL, plan)
+	want := postQuery(t, ts.URL, plan) // a plan-cache hit, like the last request below
+
+	inj.Add(faultfs.Fault{Op: faultfs.OpRead, Path: ".seg", Err: syscall.EIO})
+	// A CellDuring plan tests its candidates' intervals even for MOs.
+	for _, body := range []string{`{"query":` + plan + `}`, `{"query":` + replyPlans()[3] + `,"mos_only":true}`} {
+		code, env := postJSON(t, ts.URL+"/v1/query", "application/json", body, nil)
+		if code != 500 || env.Error.Code != codeInternal || !strings.Contains(env.Error.Message, "input/output error") {
+			t.Fatalf("%s under a segment read fault = %d %+v, want 500/internal naming the I/O error", body, code, env.Error)
+		}
+	}
+	inj.Reset()
+	if got := postQuery(t, ts.URL, plan); !bytes.Equal(got, want) {
+		t.Fatalf("after the fault cleared the reply differs:\n%s\nwant\n%s", got, want)
 	}
 }

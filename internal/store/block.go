@@ -2,11 +2,14 @@ package store
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"slices"
 	"strings"
+	"sync"
 	"time"
 	"unsafe"
 
@@ -37,13 +40,17 @@ import (
 // varint), moIDs (plain or run-length, whichever is smaller), spans
 // (scaled delta varint), encs and anns (block-local sorted dictionaries +
 // per-row local indexes) — followed by the residual section: a block-local string dictionary and
-// per-row transition/time/annotation data. Cold Open decodes only the
-// eager columns (rebuilding postings) and structurally validates the
-// residual; decoding the residual into columns (blockCols) is deferred
-// until a query touches the block, behind the store's block cache.
-// Corruption anywhere is reported with the block index and byte offset
-// and fails that segment's load at Open; a residual decode after a clean
-// Open cannot fail.
+// per-row transition/time/annotation data. Cold Open reads each file once,
+// decodes only the eager columns (rebuilding postings), structurally
+// validates the residual and drops the file image: a block keeps only
+// where its bytes are. Decoding the residual into columns (blockCols) is
+// deferred until a query touches the block, behind the store's block
+// cache, and a miss reads the block's payload back from its file,
+// re-checks its CRC and decodes it (shardBlocks.cols). Corruption anywhere
+// is reported with the block index and byte offset and fails that
+// segment's load at Open; after a clean Open only the read-back can fail
+// — an I/O error, or bytes changed under the store — and then it fails
+// the query that missed with a *BlockReadError.
 
 const segMagicV2 = "SITMSEG2"
 
@@ -395,42 +402,38 @@ func (d *rowDecoder) skipLocalAnn(limit int) {
 // encodeSegmentV2 lays the captured columns out as a block-structured
 // segment: segBlockRows rows per block (the last one partial), per-column
 // cheap encodings, one CRC and zone map per block. c.trajs must hold every
-// row's trajectory. Each block's blockInfo (its residual aliasing the
-// returned bytes, its base left to appendBlocks) comes back too: what
-// decodeSegments would read from them, for shard.adoptSegment.
+// row's trajectory. Each block's blockInfo comes back too, locating its
+// payload in the returned bytes (its base is left to appendBlocks and its
+// file to the caller): what decodeSegments would record from them, for
+// shard.adoptSegment.
 func encodeSegmentV2(c *segmentColumns) ([]byte, []blockInfo) {
 	n := len(c.seqs)
-	trajs := c.trajs
-	var payloads [][]byte
+	var body []byte // the block payloads, each followed by its CRC
 	var infos []blockInfo
 	var bufs blockBufs
 	for base := 0; base < n; base += segBlockRows {
-		p, info := encodeBlock(c, trajs, base, min(base+segBlockRows, n), &bufs)
-		payloads = append(payloads, p)
+		p, info := encodeBlock(c, c.trajs, base, min(base+segBlockRows, n), &bufs)
+		info.off = int64(len(body)) // made absolute below
+		body = append(body, p...)
+		body = binary.LittleEndian.AppendUint32(body, crc32.Checksum(p, castagnoliTable))
 		infos = append(infos, info)
 	}
 	var hdr []byte
 	hdr = binary.AppendUvarint(hdr, uint64(n))
-	hdr = binary.AppendUvarint(hdr, uint64(len(payloads)))
-	for i := range payloads {
-		hdr = binary.AppendUvarint(hdr, uint64(len(payloads[i])))
+	hdr = binary.AppendUvarint(hdr, uint64(len(infos)))
+	for i := range infos {
+		hdr = binary.AppendUvarint(hdr, uint64(infos[i].plen))
 		hdr = appendZone(hdr, &infos[i].zone)
 	}
-	size := len(segMagicV2) + binary.MaxVarintLen64 + len(hdr) + 4
-	for _, p := range payloads {
-		size += len(p) + 4
-	}
-	out := make([]byte, 0, size) // never regrows: the residual aliases stay on it
+	out := make([]byte, 0, len(segMagicV2)+binary.MaxVarintLen64+len(hdr)+4+len(body))
 	out = append(out, segMagicV2...)
 	out = binary.AppendUvarint(out, uint64(len(hdr)))
 	out = append(out, hdr...)
 	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(hdr, castagnoliTable))
-	for i, p := range payloads {
-		out = append(out, p...)
-		infos[i].res = out[len(out)-len(infos[i].res):] // the payload's tail
-		out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(p, castagnoliTable))
+	for i := range infos {
+		infos[i].off += int64(len(out))
 	}
-	return out, infos
+	return append(out, body...), infos
 }
 
 // gcd64 is the binary-size GCD over unsigned deltas; gcd64(0, x) == x, so
@@ -480,13 +483,13 @@ func blockTimeScale(c *segmentColumns, trajs []core.Trajectory, base, end int) u
 }
 
 // blockBufs are encodeBlock's scratch buffers, kept across the blocks of
-// one segment: a payload is built in them and returned as an exact-size
-// copy, so a checkpoint does not regrow two fresh slices per block.
+// one segment, so a checkpoint does not regrow two fresh slices per block.
 type blockBufs struct{ p, rp []byte }
 
 // encodeBlock encodes rows [base, end) of the captured columns as one
-// block payload and returns it with the block's blockInfo, whose residual
-// section aliases the payload's tail.
+// block payload and returns it with the block's blockInfo (its payload
+// length and residual offset set). The payload lives in bufs: it is valid
+// until the next call.
 func encodeBlock(c *segmentColumns, trajs []core.Trajectory, base, end int, bufs *blockBufs) ([]byte, blockInfo) {
 	rows := end - base
 	var z zoneMap
@@ -632,20 +635,24 @@ func encodeBlock(c *segmentColumns, trajs []core.Trajectory, base, end int, bufs
 	}
 	p = append(p, rp...)
 	bufs.p, bufs.rp = p, rp
-	p = slices.Clone(p)
-	return p, blockInfo{zone: z, tscale: tsc, res: p[resOff:]}
+	return p, blockInfo{zone: z, tscale: tsc, plen: len(p), resOff: resOff}
 }
 
 // ---- Decoding ------------------------------------------------------------
 
 // blockInfo is the retained per-block state: slot base, zone map, time
-// scale, and the raw residual section (aliasing the segment's bytes: the
-// file buffer a cold open read, or the image a checkpoint wrote).
+// scale, and where the block's bytes are — its segment file, the file
+// offset and length of its payload (the payload's CRC follows it) and the
+// offset of the residual section inside the payload. No byte of the block
+// stays in memory: a cache miss reads the payload back (shardBlocks.cols).
 type blockInfo struct {
 	base   int32
 	zone   zoneMap
 	tscale int64
-	res    []byte
+	seg    *segReader
+	off    int64
+	plen   int
+	resOff int
 }
 
 // segHeader is a parsed block-structured segment header: the segment's
@@ -715,10 +722,12 @@ func parseSegHeader(data []byte, path string) (*segHeader, error) {
 	return h, nil
 }
 
-// segFile is one segment file's path and bytes.
+// segFile is one segment file's path, its image (read once by an open,
+// for decodeSegments) and the read handle its blocks keep.
 type segFile struct {
 	path string
 	data []byte
+	r    *segReader
 }
 
 // decodeSegments loads a fresh shard's block-structured segments, one
@@ -729,11 +738,20 @@ type segFile struct {
 // corruption), the residual structure validated and left lazy behind the
 // block cache, and the block's slots indexed by indexSlot. Every block
 // joins the shard's one shardBlocks at its final slot base
-// (appendBlocks). Errors name the failing segment, block and byte offset;
+// (appendBlocks), holding its file's read handle and none of its bytes;
+// a file with no block has its handle closed, and so has every file when
+// the load fails. Errors name the failing segment, block and byte offset;
 // a failed block fails the load, it never panics later.
 // Returns one past the highest seq loaded (0 when none).
-func (sh *shard) decodeSegments(files []segFile, cellLimit, moLimit, pairLimit int, cache *blockCache) (uint64, error) {
+func (sh *shard) decodeSegments(files []segFile, cellLimit, moLimit, pairLimit int, cache *blockCache) (next uint64, err error) {
 	hdrs := make([]*segHeader, len(files))
+	defer func() {
+		for i, f := range files {
+			if err != nil || len(hdrs[i].zones) == 0 {
+				f.r.close()
+			}
+		}
+	}()
 	rows, nBlocks := 0, 0
 	for i, f := range files {
 		h, err := parseSegHeader(f.data, f.path)
@@ -756,7 +774,6 @@ func (sh *shard) decodeSegments(files []segFile, cellLimit, moLimit, pairLimit i
 	sh.starts = make([]int64, 0, rows)
 	sh.ends = make([]int64, 0, rows)
 	infos := make([]blockInfo, 0, nBlocks)
-	var next uint64
 	for i, f := range files {
 		pos := hdrs[i].body
 		for b := range hdrs[i].zones {
@@ -780,7 +797,7 @@ func (sh *shard) decodeSegments(files []segFile, cellLimit, moLimit, pairLimit i
 			for slot := base; slot < len(sh.seqs); slot++ {
 				sh.indexSlot(int32(slot), sh.moIDs[slot], sh.encs[slot], sh.anns[slot], nil)
 			}
-			infos = append(infos, blockInfo{zone: *z, tscale: tscale, res: res})
+			infos = append(infos, blockInfo{zone: *z, tscale: tscale, seg: f.r, off: int64(pos), plen: plen, resOff: plen - len(res)})
 			next = max(next, z.maxSeq+1)
 			pos += plen + 4
 		}
@@ -1091,22 +1108,128 @@ func (bs *shardBlocks) blockOf(slot int32) int {
 }
 
 // cols returns the decoded columns of one block, consulting the store's
-// cache first. The cache-hit path is allocation-free.
+// cache first. The cache-hit path is allocation-free. A miss reads the
+// block's payload and CRC back from its segment file into a pooled
+// buffer, checks the CRC on exactly those bytes and decodes the residual
+// (decodeBlockCols copies what it keeps, so the buffer goes back to the
+// pool). A failed read or a CRC mismatch returns a *BlockReadError and
+// leaves nothing behind: the next miss reads the file again.
 //
 //sitm:locked
-func (bs *shardBlocks) cols(b int) *blockCols {
+func (bs *shardBlocks) cols(b int) (*blockCols, error) {
 	key := blockKey{bs: bs, block: int32(b)}
 	if bc, ok := bs.cache.get(key); ok {
-		return bc
+		return bc, nil
 	}
-	bc, err := bs.decodeBlockCols(b)
+	info := &bs.blocks[b]
+	bp := payloadPool.Get().(*[]byte)
+	defer payloadPool.Put(bp)
+	buf := slices.Grow((*bp)[:0], info.plen+4)[:info.plen+4]
+	*bp = buf
+	if err := info.seg.readAt(buf, info.off); err != nil {
+		return nil, &BlockReadError{Path: info.seg.path, Offset: info.off, Err: err}
+	}
+	payload := buf[:info.plen]
+	if crc32.Checksum(payload, castagnoliTable) != binary.LittleEndian.Uint32(buf[info.plen:]) {
+		return nil, &BlockReadError{Path: info.seg.path, Offset: info.off, Err: errBlockChecksum}
+	}
+	bc, err := bs.decodeBlockCols(b, payload[info.resOff:])
 	if err != nil {
 		// Unreachable: the residual section was validated at open or
-		// encoded from these very columns, and the inputs are immutable.
+		// encoded from these very columns, and its bytes passed their CRC.
 		panic(fmt.Errorf("store: segment block %d failed decode after validation: %w", b, err))
 	}
 	bs.cache.put(key, bc)
-	return bc
+	return bc, nil
+}
+
+// payloadPool recycles the buffers block payloads are read into on a
+// cache miss.
+var payloadPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// errBlockChecksum is the Err of a BlockReadError whose bytes were read
+// but do not match the block's CRC.
+var errBlockChecksum = errors.New("checksum mismatch")
+
+// ErrClosed is the Err of a BlockReadError for a block read after Close
+// released the store's segment files.
+var ErrClosed = errors.New("store: closed")
+
+// BlockReadError reports a segment block whose bytes could not be read
+// back on a block-cache miss: the read failed (Err wraps the I/O error, or
+// is ErrClosed after Close), or the bytes read do not match the block's
+// CRC. It fails the query that missed, and only that query: nothing of it
+// is cached. Query methods with an error result return it; those without
+// one panic with it.
+type BlockReadError struct {
+	Path   string // the segment file
+	Offset int64  // file offset of the block's payload
+	Err    error
+}
+
+func (e *BlockReadError) Error() string {
+	return fmt.Sprintf("store: segment %s: block at offset %d: %v", e.Path, e.Offset, e.Err)
+}
+
+func (e *BlockReadError) Unwrap() error { return e.Err }
+
+// segReader is the read handle of one committed segment file, shared by
+// its blocks: opened through the store's filesystem when the file is
+// loaded or written, and closed once, by Store.Close (or by the failed
+// open or checkpoint that opened it). Reads run concurrently; a read
+// after close fails with ErrClosed.
+type segReader struct {
+	path string
+	mu   sync.RWMutex
+	//sitm:guardedby mu
+	r io.ReaderAt // nil once closed
+}
+
+// readAt fills p from offset off of the file: a short read is an error.
+func (sr *segReader) readAt(p []byte, off int64) error {
+	sr.mu.RLock()
+	defer sr.mu.RUnlock()
+	if sr.r == nil {
+		return ErrClosed
+	}
+	n, err := sr.r.ReadAt(p, off)
+	if n == len(p) {
+		return nil // io.ReaderAt may report io.EOF with a full read
+	}
+	if err == nil {
+		err = io.ErrUnexpectedEOF
+	}
+	return err
+}
+
+// close releases the handle; later reads fail with ErrClosed. Idempotent.
+func (sr *segReader) close() error {
+	sr.mu.Lock()
+	defer sr.mu.Unlock()
+	var err error
+	if c, ok := sr.r.(io.Closer); ok {
+		err = c.Close()
+	}
+	sr.r = nil
+	return err
+}
+
+// closeFiles closes the read handles of the prefix's segment files. The
+// blocks of one file are contiguous, so each handle is met in one run.
+//
+//sitm:locked
+func (bs *shardBlocks) closeFiles() error {
+	var first error
+	var last *segReader
+	for i := range bs.blocks {
+		if sr := bs.blocks[i].seg; sr != last {
+			if err := sr.close(); first == nil {
+				first = err
+			}
+			last = sr
+		}
+	}
+	return first
 }
 
 // blockCols is one block's residual section decoded into flat, almost
@@ -1164,13 +1287,14 @@ func (bc *blockCols) footprint() int64 {
 	return n
 }
 
-// decodeBlockCols decodes one block's residual section into columns (the
-// mirror of encodeBlock's residual pass). Row times come back as unix
-// nanos and names stay ids: no time.Time, map or dictionary lookup is
-// built here. Callers hold the owning shard's lock.
+// decodeBlockCols decodes block b's residual section res into columns
+// (the mirror of encodeBlock's residual pass). Row times come back as
+// unix nanos and names stay ids: no time.Time, map or dictionary lookup
+// is built here, and nothing aliases res. Callers hold the owning shard's
+// lock.
 //
 //sitm:locked
-func (bs *shardBlocks) decodeBlockCols(b int) (*blockCols, error) {
+func (bs *shardBlocks) decodeBlockCols(b int, res []byte) (*blockCols, error) {
 	info := &bs.blocks[b]
 	base, rows := int(info.base), int(info.zone.rows)
 	sh := bs.sh
@@ -1178,7 +1302,7 @@ func (bs *shardBlocks) decodeBlockCols(b int) (*blockCols, error) {
 		encs:  sh.encs[base : base+rows : base+rows],
 		moIDs: sh.moIDs[base : base+rows : base+rows],
 	}
-	d := &rowDecoder{b: info.res}
+	d := &rowDecoder{b: res}
 	nStr := d.count(1)
 	sec := d.b
 	for i := 0; i < nStr && d.err == nil; i++ {
@@ -1384,7 +1508,10 @@ func (sh *shard) windowRows(fromN, toN int64) int {
 // compare nanos and stay exact (see shard.spanOverlaps), and so do a
 // block row's interval tests (blockCols.cellDuring); a live row's compare
 // its exact times. Store.noPrune turns every zone into a slot-by-slot
-// zone (the property-test oracle).
+// zone (the property-test oracle). A kTime result is allocated once, at
+// the window's zone-priced row count (shard.windowRows), which bounds it.
+// A block that cannot be read back fails the node: ctx.err is set and the
+// result is nil.
 //
 //sitm:locked
 func (c *cplan) zoneSlots(ctx *execCtx) []int32 {
@@ -1392,17 +1519,18 @@ func (c *cplan) zoneSlots(ctx *execCtx) []int32 {
 	fromN, toN := c.fromN, c.toN
 	prune := !ctx.s.noPrune
 	cellQ := c.kind == kCellDuring
-	var post []int32 // kCellDuring: the cell's remaining candidates
+	var post, slots []int32 // post: kCellDuring's remaining candidates
 	if cellQ {
 		if post = sh.posting(c.id); len(post) == 0 {
 			return nil
 		}
+	} else if n := sh.windowRows(fromN, toN); n > 0 {
+		slots = make([]int32, 0, n)
 	}
 	nBlocks, live := 0, sh.liveBase()
 	if sh.blk != nil {
 		nBlocks = len(sh.blk.blocks)
 	}
-	var slots []int32
 	for i := 0; i < nBlocks+len(sh.zones); i++ {
 		base, z := sh.zone(i)
 		if cellQ && (len(post) == 0 || post[len(post)-1] < base) {
@@ -1462,7 +1590,11 @@ func (c *cplan) zoneSlots(ctx *execCtx) []int32 {
 			var hit bool
 			if i < nBlocks {
 				if bc == nil {
-					bc = sh.blk.cols(i)
+					var err error
+					if bc, err = sh.blk.cols(i); err != nil {
+						ctx.err = err
+						return nil
+					}
 				}
 				hit = bc.cellDuring(int(s-base), c.id, fromN, toN)
 			} else {

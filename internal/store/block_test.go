@@ -248,7 +248,9 @@ func TestBlockCacheHitPathAllocs(t *testing.T) {
 	if bs == nil {
 		t.Fatal("recovered shard holds no lazy block state")
 	}
-	bs.cols(0) // warm the block
+	if _, err := bs.cols(0); err != nil { // warm the block
+		t.Fatal(err)
+	}
 	if n := testing.AllocsPerRun(100, func() { bs.cols(0) }); n != 0 {
 		t.Fatalf("block-cache hit path allocates %v times per op, want 0", n)
 	}

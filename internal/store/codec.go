@@ -23,10 +23,17 @@ import (
 
 // rowDecoder consumes one encoded buffer with a sticky error, so decode
 // call sites read like the encode call sites instead of error plumbing.
+// strs, when set, interns the strings str decodes.
 type rowDecoder struct {
-	b   []byte
-	err error
+	b    []byte
+	err  error
+	strs map[string]string
 }
+
+// maxInterned bounds a decoder's string table: past it, new strings are
+// copied but not remembered, so a feed of distinct values cannot grow the
+// table without limit.
+const maxInterned = 1 << 16
 
 func (d *rowDecoder) fail(msg string) {
 	if d.err == nil {
@@ -80,8 +87,15 @@ func (d *rowDecoder) str() string {
 		d.fail("truncated string")
 		return ""
 	}
-	s := string(d.b[:n])
+	b := d.b[:n]
 	d.b = d.b[n:]
+	if s, ok := d.strs[string(b)]; ok { // the lookup does not allocate
+		return s
+	}
+	s := string(b)
+	if d.strs != nil && len(d.strs) < maxInterned {
+		d.strs[s] = s
+	}
 	return s
 }
 
@@ -233,9 +247,11 @@ func (d *rowDecoder) rowResidual(moID int32, enc []int32, cells, mos func(int32)
 
 // decodeRow decodes one WAL row record. cellLimit/moLimit/pairLimit are
 // the recovered dictionary sizes; an id at or past its limit is
-// corruption, since a row's deltas precede it in the log.
-func decodeRow(payload []byte, cellLimit, moLimit, pairLimit int, cells, mos func(int32) string) (durableRow, error) {
-	d := &rowDecoder{b: payload}
+// corruption, since a row's deltas precede it in the log. strs interns the
+// row's transitions and annotation keys and values across the rows one
+// goroutine decodes (nil copies each).
+func decodeRow(payload []byte, cellLimit, moLimit, pairLimit int, cells, mos func(int32) string, strs map[string]string) (durableRow, error) {
+	d := &rowDecoder{b: payload, strs: strs}
 	row := durableRow{seq: d.uvarint()}
 	mo := d.uvarint()
 	if d.err == nil && mo >= uint64(moLimit) {

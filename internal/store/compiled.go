@@ -145,9 +145,13 @@ func (s *Store) SelectRowsCompiledCtx(ctx context.Context, cq *CompiledQuery) (*
 // runs the plan per shard under the shard read lock and merges the
 // matches' row references by insertion sequence.
 func (s *Store) selectPlan(ctx context.Context, plan *cplan) ([]rowRef, error) {
-	return s.gather(ctx, func(sh *shard, out *shardRows) { //sitm:locked
+	return s.gather(ctx, func(sh *shard, out *shardRows) error { //sitm:locked
 		ectx := execCtx{s: s, sh: sh}
-		sh.addRows(out, plan.exec(&ectx))
+		slots := plan.exec(&ectx)
+		if ectx.err != nil {
+			return ectx.err
+		}
+		return sh.addRows(out, slots)
 	})
 }
 
@@ -168,6 +172,7 @@ func (s *Store) selectTrajs(ctx context.Context, plan *cplan) ([]core.Trajectory
 func (s *Store) selectMOsPlan(ctx context.Context, plan *cplan) ([]string, error) {
 	rank := s.moRank.table(s.mos.Freeze())
 	per := make([][]int32, len(s.shards))
+	errs := make([]error, len(s.shards))
 	err := parallel.ForEachCtx(ctx, len(s.shards), func(i int) {
 		sh := &s.shards[i]
 		sh.mu.RLock()
@@ -178,9 +183,13 @@ func (s *Store) selectMOsPlan(ctx context.Context, plan *cplan) ([]string, error
 			keys[j] = rank.key(sh.moIDs[slot])
 		}
 		sh.mu.RUnlock()
+		errs[i] = ectx.err
 		slices.Sort(keys)
 		per[i] = slices.Compact(keys)
 	})
+	if err == nil {
+		err = firstErr(errs)
+	}
 	if err != nil {
 		return nil, err
 	}

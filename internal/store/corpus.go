@@ -76,7 +76,9 @@ func (s *Store) snapshot(withAnns bool) (encs, anns [][]int32, maxLen int) {
 // are handed over as-is, and the corpus dictionary is a frozen O(1) view
 // of the store's cell dict. The returned corpus observes insertion order,
 // matching similarity.NewCorpus(s.All()) value-for-value (bit-identical
-// matrices, guarded by TestStoreCorpusMatchesNewCorpus).
+// matrices, guarded by TestStoreCorpusMatchesNewCorpus). It reads only
+// the eager columns, never a segment block, so unlike All it cannot fail
+// on a block read.
 func (s *Store) Corpus() *similarity.Corpus {
 	encs, anns, maxLen := s.snapshot(true)
 	return similarity.NewCorpusFromEncoded(s.cells.Freeze(), encs, anns, maxLen)
@@ -87,7 +89,8 @@ func (s *Store) Corpus() *similarity.Corpus {
 // mining.SequencesOf's shape) plus the frozen dictionary to decode them —
 // the mining handoff: feed the pair to mining.PrefixSpanInterned and the
 // result is bit-for-bit PrefixSpan(SequencesOf(s.All()), ...) with no
-// re-interning. All sequences share one flat backing array.
+// re-interning. All sequences share one flat backing array. Like Corpus
+// it never reads a segment block, so it cannot fail on a block read.
 func (s *Store) Sequences() (*symtab.Dict, [][]int32) {
 	encs, _, _ := s.snapshot(false)
 	total := 0

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
+	"os"
 	"path/filepath"
 	"runtime"
 	"slices"
@@ -60,10 +62,11 @@ type Options struct {
 	// a read-write open). Put/PutBatch panic with ErrReadOnly;
 	// Checkpoint returns ErrReadOnly; Sync and Close are no-ops.
 	ReadOnly bool
-	// FS is the filesystem the store performs all durability I/O
-	// through (nil = the real filesystem). Fault-injection tests pass a
-	// faultfs.Injector to fail fsyncs, writes and renames at the
-	// syscall boundary.
+	// FS is the filesystem the store performs all its file I/O through
+	// (nil = the real filesystem): durability writes, and the segment
+	// reads of an open and of every block-cache miss. Fault-injection
+	// tests pass a faultfs.Injector to fail fsyncs, writes, renames and
+	// reads at the syscall boundary.
 	FS faultfs.FS
 	// BlockCacheBytes bounds the store's cache of lazily decoded
 	// segment blocks (0 = DefaultBlockCacheBytes, negative = no
@@ -395,19 +398,40 @@ func (s *Store) Checkpoint() error {
 	if err := commitFile(d.fs, segDictPath(d.dir, gen), encodeDictDelta(&snap.dict)); err != nil {
 		return retry.MarkTransient(err)
 	}
+	// Each shard's blocks are adopted without the image just written: they
+	// read their bytes back through a handle opened on the committed file.
 	segErrs := make([]error, len(snap.shards))
 	segBlocks := make([][]blockInfo, len(snap.shards))
 	parallel.ForEach(len(snap.shards), func(i int) {
-		var data []byte
-		data, segBlocks[i] = encodeSegmentV2(&snap.shards[i])
-		segErrs[i] = commitFile(d.fs, segPath(d.dir, gen, i), data)
+		data, blocks := encodeSegmentV2(&snap.shards[i])
+		path := segPath(d.dir, gen, i)
+		if segErrs[i] = commitFile(d.fs, path, data); segErrs[i] != nil || len(blocks) == 0 {
+			return
+		}
+		var sr *segReader
+		if sr, segErrs[i] = openSegment(d.fs, path); segErrs[i] != nil {
+			return
+		}
+		for b := range blocks {
+			blocks[b].seg = sr
+		}
+		segBlocks[i] = blocks
 	})
+	closeNew := func() {
+		for _, blocks := range segBlocks {
+			if len(blocks) > 0 {
+				blocks[0].seg.close()
+			}
+		}
+	}
 	if err := firstErr(segErrs); err != nil {
+		closeNew()
 		return retry.MarkTransient(err)
 	}
 	gens := append(slices.Clip(d.gens), gen)
 	man := &manifest{Version: manifestVersion, Shards: len(s.shards), Gen: gen, NextSeq: snap.nextSeq, Gens: gens}
 	if err := writeManifest(d.fs, d.dir, man); err != nil {
+		closeNew()
 		return retry.MarkTransient(err)
 	}
 
@@ -454,32 +478,39 @@ func removeAll(fsys faultfs.FS, paths []string) {
 	}
 }
 
-// Close flushes and fsyncs the log and closes it. Close on an
-// in-memory store is a no-op. The returned error is the sticky
-// durability error, if any — a nil return means everything written is on
-// disk.
+// Close flushes and fsyncs the log and closes it, and releases the read
+// handles of the segment files. Close on an in-memory store is a no-op.
+// The returned error is the sticky durability error, if any — a nil
+// return means everything written is on disk. After Close a query that
+// misses the block cache fails with a *BlockReadError wrapping ErrClosed.
 func (s *Store) Close() error {
 	d := s.dur
 	if d == nil {
 		return nil
 	}
-	if d.readOnly {
-		// Nothing is open for writing; there is nothing to flush.
-		d.closed.Store(true)
-		return nil
-	}
 	if d.closed.Swap(true) {
+		if d.readOnly {
+			return nil
+		}
 		return d.sticky()
 	}
 	d.ckptMu.Lock()
+	defer d.ckptMu.Unlock()
+	segErr := s.closeSegments()
+	if d.readOnly {
+		// Nothing is open for writing; there is nothing to flush.
+		return segErr
+	}
 	d.logMu.Lock()
 	lg := d.log
 	d.logMu.Unlock()
 	if err := lg.Close(); err != nil {
 		d.fail(err)
 	}
-	d.ckptMu.Unlock()
-	return d.sticky()
+	if err := d.sticky(); err != nil {
+		return err
+	}
+	return segErr
 }
 
 // ReadOnly reports whether the store was opened with Options.ReadOnly.
@@ -509,22 +540,71 @@ func (s *Store) Durability() (DurableStats, bool) {
 	return st, true
 }
 
-// loadSegments reads one shard's listed segments and decodes them, in
-// generation order, straight into the shard's columns
-// (shard.decodeSegments), their residual rows left lazy behind the block
-// cache. Returns one past the highest row seq loaded (0 when none).
+// loadSegments opens one shard's listed segments, reads each through its
+// handle once and decodes them, in generation order, straight into the
+// shard's columns (shard.decodeSegments), their residual rows left lazy
+// behind the block cache and read back through the handles on a miss.
+// Returns one past the highest row seq loaded (0 when none).
 func (s *Store) loadSegments(fsys faultfs.FS, dir string, shard int, gens []uint64, cache *blockCache) (uint64, error) {
 	files := make([]segFile, 0, len(gens))
 	for _, gen := range gens {
-		path := segPath(dir, gen, shard)
-		data, err := fsys.ReadFile(path)
+		f, err := readSegment(fsys, segPath(dir, gen, shard))
 		if err != nil {
+			for _, f := range files {
+				f.r.close()
+			}
 			return 0, fmt.Errorf("store: %s lists generation %d: %w", manifestName, gen, err)
 		}
-		files = append(files, segFile{path, data})
+		files = append(files, f)
 	}
 	return s.shards[shard].decodeSegments(files,
 		s.cells.Len(), s.mos.Len(), s.pairs.Len(), cache)
+}
+
+// readSegment opens a segment file read-only and reads its image through
+// the handle, which it returns open.
+func readSegment(fsys faultfs.FS, path string) (segFile, error) {
+	f, err := fsys.OpenFile(path, os.O_RDONLY, 0)
+	if err != nil {
+		return segFile{}, err
+	}
+	sr := &segReader{path: path, r: f}
+	size, err := f.Seek(0, io.SeekEnd)
+	if err == nil {
+		data := make([]byte, size)
+		if err = sr.readAt(data, 0); err == nil {
+			return segFile{path: path, data: data, r: sr}, nil
+		}
+	}
+	sr.close()
+	return segFile{}, err
+}
+
+// openSegment opens a committed segment file read-only, for its blocks to
+// read back.
+func openSegment(fsys faultfs.FS, path string) (*segReader, error) {
+	f, err := fsys.OpenFile(path, os.O_RDONLY, 0)
+	if err != nil {
+		return nil, err
+	}
+	return &segReader{path: path, r: f}, nil
+}
+
+// closeSegments closes the read handles of every shard's segment files
+// and returns the first failure.
+func (s *Store) closeSegments() error {
+	var first error
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.RLock()
+		if sh.blk != nil {
+			if err := sh.blk.closeFiles(); first == nil {
+				first = err
+			}
+		}
+		sh.mu.RUnlock()
+	}
+	return first
 }
 
 // BlockCacheStats returns the residual-block cache counters of a durable
@@ -654,6 +734,7 @@ func recoverDir(fsys faultfs.FS, dir string, man *manifest, opts Options, replay
 		maxSeqs[i] = max(maxSeqs[i], walMax)
 	})
 	if err := firstErr(errs); err != nil {
+		s.closeSegments()
 		return nil, err
 	}
 	nextSeq := man.NextSeq
@@ -696,16 +777,19 @@ func (s *Store) routeRow(t *walRows, payload []byte, nextSeq uint64) error {
 // dictionaries — frozen snapshots, since the scan has applied every delta,
 // so a symbol lookup takes no lock — and appends them to the shard's
 // columns, returning one past the highest seq among them (0 when none).
+// The rows share one string table, so a transition or annotation string
+// that repeats across them is allocated once.
 func (s *Store) replayRows(i int, t *walRows) (uint64, error) {
 	sh := &s.shards[i]
 	cells, mos := s.cells.Freeze(), s.mos.Freeze()
+	strs := make(map[string]string)
 	var maxSeq uint64
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	spans := t.spans[i]
 	sh.reserve(len(spans) / 2)
 	for k := 0; k < len(spans); k += 2 {
-		r, err := decodeRow(t.buf[spans[k]:spans[k+1]], cells.Len(), mos.Len(), s.pairs.Len(), cells.Symbol, mos.Symbol)
+		r, err := decodeRow(t.buf[spans[k]:spans[k+1]], cells.Len(), mos.Len(), s.pairs.Len(), cells.Symbol, mos.Symbol, strs)
 		if err != nil {
 			return 0, err
 		}
@@ -793,6 +877,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	}
 	if lg == nil {
 		if lg, err = createWAL(fsys, dir, walGen); err != nil {
+			rec.s.closeSegments()
 			return nil, err
 		}
 	}

@@ -537,3 +537,38 @@ func TestDurableRegionsAttachAfterRecovery(t *testing.T) {
 		t.Fatalf("Region(west) after recovery = %v, want [mo1]", got)
 	}
 }
+
+// TestReplayedRowsInternStrings: WAL replay decodes a shard's rows through
+// one string table, so a transition or annotation key or value repeated
+// across rows is allocated once — each of the 13 strings of this row costs
+// an allocation when decoded without a table, and none once the table
+// holds it — and the row decodes identically either way.
+func TestReplayedRowsInternStrings(t *testing.T) {
+	tr := core.Trajectory{MO: "m", Ann: core.Annotations{"visit": {"guided", "audio"}}}
+	for _, c := range []string{"a", "b"} {
+		tr.Trace = append(tr.Trace, core.PresenceInterval{
+			Cell: c, Transition: "door3", Start: at(0), End: at(5),
+			Ann: core.Annotations{"floor": {"ground"}}, TransitionAnn: core.Annotations{"kind": {"door"}},
+		})
+	}
+	const strings = 3 + 2*5 // trajectory key and values; per interval transition, two keys and two values
+	payload := appendRow(nil, 7, 0, []int32{0, 1}, nil, tr)
+	names := func(id int32) string { return []string{"a", "b"}[id] }
+	decode := func(strs map[string]string) durableRow {
+		r, err := decodeRow(payload, 2, 2, 0, names, func(int32) string { return "m" }, strs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	strs := make(map[string]string)
+	if got, want := decode(strs), decode(nil); fmt.Sprint(got) != fmt.Sprint(want) || fmt.Sprint(want.traj) != fmt.Sprint(tr) {
+		t.Fatalf("decoded rows differ:\ninterned %v\n  copied %v\n    want %v", got.traj, want.traj, tr)
+	}
+	copied := testing.AllocsPerRun(100, func() { decode(nil) })
+	interned := testing.AllocsPerRun(100, func() { decode(strs) })
+	t.Logf("allocations per replayed row: %v copied, %v interned", copied, interned)
+	if copied-interned != strings {
+		t.Fatalf("interning saves %v allocations per row, want one per string (%d)", copied-interned, strings)
+	}
+}

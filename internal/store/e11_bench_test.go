@@ -281,14 +281,15 @@ func BenchmarkE11SegmentSize(b *testing.B) {
 //
 //   - the block-structured format occupies ≤60% of the v1 segment bytes
 //     the retired encoder writes for the same rows;
-//   - a cold v2 open decodes no residual block (block-cache misses and
-//     bytes are 0 after Open + Len) and holds no trajectory value: every
-//     slot is block-backed;
+//   - a cold v2 open reads each segment file once, decodes no residual
+//     block (block-cache misses and bytes are 0 after Open + Len) and
+//     holds no trajectory value: every slot is block-backed;
 //   - the cold one-day window query decodes exactly the blocks holding a
 //     matching row, counted from the corpus rather than from the answer,
-//     which is fewer than all blocks; and the prune loop scans slot by
-//     slot exactly the blocks whose extents neither exclude nor cover the
-//     window.
+//     which is fewer than all blocks, reading from the segment files
+//     exactly those blocks' payloads and CRCs; and the prune loop scans
+//     slot by slot exactly the blocks whose extents neither exclude nor
+//     cover the window.
 //
 // BenchmarkE11* report the wall-clock side; end to end, perfbench's
 // open_p50_ms gates v2 open.
@@ -342,8 +343,10 @@ func TestE11BlocksBeatMonolith(t *testing.T) {
 	}
 	t.Logf("E11 size: v1 %d bytes, v2 %d bytes (%.0f%%)", v1Bytes, v2Bytes, ratio*100)
 
-	// Cold open decodes no residual block and keeps no trajectory value.
-	cold, err := Open(v2Dir, Options{ReadOnly: true, BlockCacheBytes: 1 << 30})
+	// Cold open reads each segment file once, decodes no residual block
+	// and keeps no trajectory value.
+	reads := newReadCounter(faultfs.OS)
+	cold, err := Open(v2Dir, Options{ReadOnly: true, BlockCacheBytes: 1 << 30, FS: reads})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,6 +357,10 @@ func TestE11BlocksBeatMonolith(t *testing.T) {
 	if st, _ := cold.BlockCacheStats(); st.Misses != 0 || st.Bytes != 0 {
 		t.Fatalf("cold v2 open decoded residual blocks: %+v", st)
 	}
+	if n := readBytes(reads); n != v2Bytes {
+		t.Fatalf("cold v2 open read %d segment bytes, want each file once: %d", n, v2Bytes)
+	}
+	reads.reset()
 	for i := range cold.shards {
 		if n := len(cold.shards[i].trajs); n != 0 {
 			t.Fatalf("cold shard %d holds %d trajectory values, want 0", i, n)
@@ -394,7 +401,21 @@ func TestE11BlocksBeatMonolith(t *testing.T) {
 		t.Fatalf("window query decoded %d blocks (%d evictions), want exactly the %d of %d holding a matching row",
 			st.Misses, st.Evictions, want.matching, want.total)
 	}
-	t.Logf("E11 window: %d of %d blocks decoded, %d scanned slot by slot", st.Misses, want.total, scanned)
+	if n, blocks := readBytes(reads), cachedBlockBytes(cold); n != blocks {
+		t.Fatalf("window query read %d segment bytes, want the decoded blocks' payloads and CRCs: %d", n, blocks)
+	}
+	t.Logf("E11 window: %d of %d blocks decoded (%d of %d segment bytes read), %d scanned slot by slot",
+		st.Misses, want.total, readBytes(reads), v2Bytes, scanned)
+}
+
+// readBytes is the segment bytes read through c since its last reset.
+func readBytes(c *readCounter) int64 {
+	_, _, read, _ := c.counts()
+	var n int64
+	for _, b := range read {
+		n += b
+	}
+	return n
 }
 
 // e11BlockCounts is what the one-day window should cost on the v2 dir.

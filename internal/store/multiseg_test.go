@@ -34,7 +34,7 @@ func segRows(t *testing.T, path string) int {
 	}
 	var sh shard
 	sh.init()
-	if _, err := sh.decodeSegments([]segFile{{path, data}}, 1<<30, 1<<30, 1<<30, newBlockCache(-1)); err != nil {
+	if _, err := sh.decodeSegments([]segFile{memSegFile(path, data)}, 1<<30, 1<<30, 1<<30, newBlockCache(-1)); err != nil {
 		t.Fatal(err)
 	}
 	return len(sh.seqs)
@@ -179,9 +179,18 @@ func TestCheckpointedInProcessEqualsColdReopen(t *testing.T) {
 					ro, i, w.blk.rowCount, len(w.blk.blocks), c.blk.rowCount, len(c.blk.blocks))
 			}
 			for b := range min(len(w.blk.blocks), len(c.blk.blocks)) {
+				// The same bytes of the same file (the cold open's is a copy
+				// of the writer's directory), decoding to the same columns.
 				wb, cb := &w.blk.blocks[b], &c.blk.blocks[b]
-				if wb.base != cb.base || wb.zone != cb.zone || wb.tscale != cb.tscale || !bytes.Equal(wb.res, cb.res) {
+				if wb.base != cb.base || wb.zone != cb.zone || wb.tscale != cb.tscale ||
+					filepath.Base(wb.seg.path) != filepath.Base(cb.seg.path) ||
+					wb.off != cb.off || wb.plen != cb.plen || wb.resOff != cb.resOff {
 					t.Errorf("read-only=%v shard %d block %d: writer's block differs from the cold open's", ro, i, b)
+				}
+				wc, werr := w.blk.cols(b)
+				cc, cerr := c.blk.cols(b)
+				if werr != nil || cerr != nil || !reflect.DeepEqual(wc, cc) {
+					t.Errorf("read-only=%v shard %d block %d: writer's decoded columns differ from the cold open's (%v, %v)", ro, i, b, werr, cerr)
 				}
 			}
 			if live := len(w.seqs) - w.blk.rowCount; len(w.trajs) != live || len(c.trajs) != live {

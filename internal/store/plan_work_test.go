@@ -263,3 +263,31 @@ func TestCellDuringProbesOnlyAdmittedZones(t *testing.T) {
 		t.Logf("hour %s: CellDuring(%s) searched the posting in %d zones, %d admitted, posting spans %d", from.Format(time.DateTime), cell, probed, admitted, spanned)
 	}
 }
+
+// TestTimeWindowResultAllocatesOnce: a kTime node's slots are allocated
+// once per shard, at the window's zone-priced row count, instead of
+// growing by doubling — over the time-ordered store's checkpointed
+// blocks and live zones alike.
+func TestTimeWindowResultAllocatesOnce(t *testing.T) {
+	s, trajs, _ := timeOrderedZoneStore(t)
+	for _, at := range []int{len(trajs) / 5, len(trajs) * 17 / 20} {
+		from := trajs[at].Start().Truncate(24 * time.Hour)
+		cq, err := s.Compile(TimeOverlap(from, from.Add(7*24*time.Hour)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range s.shards {
+			sh := &s.shards[i]
+			sh.mu.RLock()
+			ctx := execCtx{s: s, sh: sh}
+			if n := len(cq.plan.exec(&ctx)); n < 64 {
+				t.Fatalf("shard %d: the window matches %d rows, too few to need a regrowth", i, n)
+			}
+			allocs := testing.AllocsPerRun(20, func() { cq.plan.exec(&ctx) })
+			sh.mu.RUnlock()
+			if allocs != 1 {
+				t.Fatalf("week from %s, shard %d: a time window allocates %v times, want 1", from.Format(time.DateOnly), i, allocs)
+			}
+		}
+	}
+}

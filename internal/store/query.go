@@ -278,6 +278,7 @@ type execCtx struct {
 	reach        []bool
 	next         []bool
 	running      *cplan // kThroughRegions node the membership test binds to
+	err          error  // the first block read-back failure; the plan's result is void
 	scannedZones int    // zones tested slot by slot (zoneSlots)
 	probedZones  int    // kCellDuring zones whose posting range was searched
 	// examined counts the slots the plan tests or takes whole from a
@@ -401,6 +402,7 @@ func (c *cplan) postingOf(sh *shard) []int32 {
 
 // exec materialises the node's matching slots in one shard, ascending.
 // The result may alias a live posting list; callers must not mutate it.
+// Once a block cannot be read back (ctx.err) the result is void.
 //
 //sitm:locked
 //sitm:aliases
@@ -436,6 +438,9 @@ func (c *cplan) exec(ctx *execCtx) []int32 {
 		var union []int32
 		for _, kid := range c.kids {
 			union = append(union, kid.exec(ctx)...)
+			if ctx.err != nil {
+				return nil
+			}
 		}
 		ctx.examined += len(union)
 		slices.Sort(union)
@@ -511,13 +516,17 @@ func (c *cplan) intersectPostings(ctx *execCtx, cand []int32) []int32 {
 }
 
 // filterSlots keeps the slots passing the node's per-slot test, always
-// into a fresh slice (the input may alias a live posting list).
+// into a fresh slice (the input may alias a live posting list). It stops
+// at the first block read-back failure (ctx.err).
 func filterSlots(ctx *execCtx, c *cplan, slots []int32) []int32 {
 	ctx.examined += len(slots)
 	var out []int32
 	for _, slot := range slots {
 		if c.test(ctx, slot) {
 			out = append(out, slot)
+		}
+		if ctx.err != nil {
+			return nil
 		}
 	}
 	return out
@@ -543,7 +552,7 @@ func (c *cplan) test(ctx *execCtx, slot int32) bool {
 	case kTime:
 		return sh.spanOverlaps(slot, c)
 	case kCellDuring:
-		return sh.cellDuring(slot, c)
+		return sh.cellDuring(ctx, slot, c)
 	case kThrough:
 		ctx.dedup = dedupInto(ctx.dedup[:0], sh.encs[slot])
 		return containsRun(ctx.dedup, c.run)

@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -150,4 +151,54 @@ func TestRaceStressWritersVsReaders(t *testing.T) {
 			t.Fatalf("preloaded %d: %v, %d", i, err, len(got))
 		}
 	}
+}
+
+// TestAttachRegionsRacesWithNewCells: rows that intern never-seen cells
+// while AttachRegions rebuilds must neither crash the rebuild (its
+// dictionary snapshot must cover every id of the shard it indexes) nor
+// leave the postings short, duplicated or overwritten: once the writer and
+// the attach are done, every shard's region postings equal those a fresh
+// attach builds on the final store.
+func TestAttachRegionsRacesWithNewCells(t *testing.T) {
+	rt := queryModel(t)
+	zones := []string{"A", "B", "C", "D", "E", "F", "G", "H"}
+	for round := 0; round < 200; round++ {
+		s := newTestStore()
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				// A hierarchy zone plus a cell no row has used before.
+				s.Put(traj(t, fmt.Sprintf("mo%d", i%17), i*10, zones[i%len(zones)], fmt.Sprintf("new%d", i)))
+			}
+		}()
+		s.AttachRegions(rt)
+		wg.Wait()
+		got := regionPostingsOf(s)
+		s.AttachRegions(rt)
+		if want := regionPostingsOf(s); !slices.EqualFunc(got, want, func(a, b [][]int32) bool {
+			return slices.EqualFunc(a, b, func(x, y []int32) bool { return slices.Equal(x, y) })
+		}) {
+			t.Fatalf("round %d: postings after the raced attach differ from a fresh attach's:\n got %v\nwant %v", round, got, want)
+		}
+	}
+}
+
+// regionPostingsOf copies every shard's region postings, trimmed of
+// trailing empty lists.
+func regionPostingsOf(s *Store) [][][]int32 {
+	out := make([][][]int32, len(s.shards))
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.RLock()
+		for _, p := range sh.byRegion {
+			out[i] = append(out[i], slices.Clone(p))
+		}
+		sh.mu.RUnlock()
+		for len(out[i]) > 0 && len(out[i][len(out[i])-1]) == 0 {
+			out[i] = out[i][:len(out[i])-1]
+		}
+	}
+	return out
 }

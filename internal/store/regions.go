@@ -49,15 +49,29 @@ type regionState struct {
 // to the store and (re)builds the per-shard region posting lists for the
 // trajectories already stored. Subsequent Put/PutBatch maintain the
 // postings incrementally. Attaching nil detaches. The rebuild takes each
-// shard's write lock in turn; queries running concurrently with an attach
-// observe either the old or the new region view per shard.
+// shard's write lock in turn and binds the cell closures to a dictionary
+// snapshot taken under that lock, so the snapshot covers every cell id
+// the shard holds (a writer interns before it takes the shard lock);
+// queries running concurrently with an attach observe either the old or
+// the new region view per shard.
 func (s *Store) AttachRegions(rt *indoor.RegionTable) {
 	s.regions.mu.Lock()
 	s.regions.rt = rt
 	s.regions.snap = nil
 	s.regions.closures = nil
 	s.regions.mu.Unlock()
-	snap := s.cells.Freeze()
+	// One bind per distinct snapshot the shards see.
+	var bindMu sync.Mutex
+	var bound *symtab.Dict
+	var closures [][]int32
+	bind := func(snap *symtab.Dict) [][]int32 {
+		bindMu.Lock()
+		defer bindMu.Unlock()
+		if snap != bound {
+			bound, closures = snap, rt.BindClosures(snap.Len(), snap.Symbol)
+		}
+		return closures
+	}
 	parallel.ForEach(len(s.shards), func(i int) {
 		sh := &s.shards[i]
 		sh.mu.Lock()
@@ -70,17 +84,56 @@ func (s *Store) AttachRegions(rt *indoor.RegionTable) {
 			// Closures are resolved from the write-time encoded traces, not
 			// the trajectories, so a lazily held segment prefix (sh.blk)
 			// contributes without materializing a single residual block.
-			sh.byRegion = make([][]int32, rt.NumRegions())
-			var scratch []int32
-			for slot, enc := range sh.encs {
-				scratch = regionClosureOfEnc(scratch[:0], rt, enc, snap)
-				for _, r := range scratch {
-					sh.byRegion[r] = append(sh.byRegion[r], int32(slot))
-				}
-			}
+			sh.byRegion = regionPostings(rt.NumRegions(), bind(s.cells.Freeze()), sh.encs)
 		}
 		sh.mu.Unlock()
 	})
+}
+
+// regionPostings builds every region's posting list over the encoded
+// traces encs (slot = index): slot s is posted to each region in the
+// closure of any cell it visits, once — a per-region last-slot marker
+// replaces a per-slot sort. Two passes, counting then filling, carve
+// exact-size lists from one array; each list's cap is its length, so a
+// writer's later append moves it rather than overwrite its neighbour.
+// closures[id] must exist for every id in encs.
+func regionPostings(nRegions int, closures, encs [][]int32) [][]int32 {
+	last := make([]int32, nRegions) // slot+1 last posted per region
+	counts := make([]int, nRegions)
+	visit := func(post func(r int32, slot int32)) {
+		clear(last)
+		for slot, enc := range encs {
+			mark, prev := int32(slot)+1, int32(-1)
+			for _, id := range enc {
+				if id == prev {
+					continue // a stalled detection repeats its whole closure
+				}
+				prev = id
+				for _, r := range closures[id] {
+					if last[r] != mark {
+						last[r] = mark
+						post(r, int32(slot))
+					}
+				}
+			}
+		}
+	}
+	visit(func(r, _ int32) { counts[r]++ })
+	total := 0
+	for _, n := range counts {
+		total += n
+	}
+	flat := make([]int32, total)
+	out := make([][]int32, nRegions)
+	off := 0
+	for r, n := range counts {
+		if n > 0 {
+			out[r] = flat[off : off : off+n]
+			off += n
+		}
+	}
+	visit(func(r, slot int32) { out[r] = append(out[r], slot) })
+	return out
 }
 
 // Regions returns the attached region table, or nil.
@@ -126,27 +179,6 @@ func regionsOf(rt *indoor.RegionTable, t core.Trajectory) []int32 {
 	}
 	slices.Sort(regs)
 	return slices.Compact(regs)
-}
-
-// regionClosureOfEnc is regionsOf over a write-time encoded trace: ids
-// resolve to names through the frozen dict snapshot (interning is
-// injective, so consecutive-id dedup equals the string dedup in
-// regionsOf). Every stored id is < snap.Len() — the snapshot was taken
-// after the rows were interned.
-func regionClosureOfEnc(dst []int32, rt *indoor.RegionTable, enc []int32, snap *symtab.Dict) []int32 {
-	prev := int32(-1)
-	for _, id := range enc {
-		if id == prev {
-			continue
-		}
-		prev = id
-		dst = append(dst, rt.Closure(snap.Symbol(id))...)
-	}
-	if len(dst) < 2 {
-		return dst
-	}
-	slices.Sort(dst)
-	return slices.Compact(dst)
 }
 
 // boundClosures returns the attached table plus the per-cell ancestor

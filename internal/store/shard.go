@@ -275,25 +275,32 @@ func (sh *shard) liveBase() int32 {
 
 // cellDuring reports whether the slot has a presence interval at c's cell
 // intersecting c's window, reading a block-backed slot's interval nanos
-// from its block's columns.
+// from its block's columns. A block that cannot be read back reports no
+// match and sets ctx.err.
 //
 //sitm:locked
-func (sh *shard) cellDuring(slot int32, c *cplan) bool {
+func (sh *shard) cellDuring(ctx *execCtx, slot int32, c *cplan) bool {
 	base := sh.liveBase()
 	if slot >= base {
 		return liveCellDuring(&sh.trajs[slot-base], sh.encs[slot], c)
 	}
 	b := sh.blk.blockOf(slot)
-	return sh.blk.cols(b).cellDuring(int(slot-sh.blk.blocks[b].base), c.id, c.fromN, c.toN)
+	bc, err := sh.blk.cols(b)
+	if err != nil {
+		ctx.err = err
+		return false
+	}
+	return bc.cellDuring(int(slot-sh.blk.blocks[b].base), c.id, c.fromN, c.toN)
 }
 
 // addRows appends the rows of the ascending slots to out: a block-backed
 // slot as its block's columns plus a row index (each block's columns
 // fetched once per run of its slots), a live slot as a pointer to its
-// trajectory. Nothing is copied or materialized.
+// trajectory. Nothing is copied or materialized. A block that cannot be
+// read back stops it with the block's error.
 //
 //sitm:locked
-func (sh *shard) addRows(out *shardRows, slots []int32) {
+func (sh *shard) addRows(out *shardRows, slots []int32) error {
 	base := sh.liveBase()
 	var bc *blockCols
 	var lo, hi int32 // the slots bc covers
@@ -302,7 +309,10 @@ func (sh *shard) addRows(out *shardRows, slots []int32) {
 		if slot < base {
 			if bc == nil || slot < lo || slot >= hi {
 				b := sh.blk.blockOf(slot)
-				bc = sh.blk.cols(b)
+				var err error
+				if bc, err = sh.blk.cols(b); err != nil {
+					return err
+				}
 				lo = sh.blk.blocks[b].base
 				hi = lo + sh.blk.blocks[b].zone.rows
 			}
@@ -313,17 +323,22 @@ func (sh *shard) addRows(out *shardRows, slots []int32) {
 		out.keys = append(out.keys, sh.seqs[slot])
 		out.refs = append(out.refs, ref)
 	}
+	return nil
 }
 
 // addAll appends every slot's row to out in slot order, decoding each
-// block once.
+// block once. A block that cannot be read back stops it with the block's
+// error.
 //
 //sitm:locked
-func (sh *shard) addAll(out *shardRows) {
+func (sh *shard) addAll(out *shardRows) error {
 	out.keys = append(out.keys, sh.seqs...)
 	if bs := sh.blk; bs != nil {
 		for b := range bs.blocks {
-			bc := bs.cols(b)
+			bc, err := bs.cols(b)
+			if err != nil {
+				return err
+			}
 			for r := range bs.blocks[b].zone.rows {
 				out.refs = append(out.refs, rowRef{cols: bc, row: r})
 			}
@@ -332,6 +347,7 @@ func (sh *shard) addAll(out *shardRows) {
 	for i := range sh.trajs {
 		out.refs = append(out.refs, rowRef{live: &sh.trajs[i]})
 	}
+	return nil
 }
 
 // insertBatch inserts the batch members routed to this shard under the

@@ -370,15 +370,20 @@ func placeBySeq[T any](keys []uint64, vals []T) []T {
 // gather fans collect out across the shards (each invocation runs under
 // that shard's read lock) and merges the row references into insertion
 // order — the one merge-by-seq fan-out. Shards stop being scheduled once
-// ctx is done, and the error is then ctx.Err().
-func (s *Store) gather(ctx context.Context, collect func(sh *shard, out *shardRows)) ([]rowRef, error) {
+// ctx is done, and the error is then ctx.Err(); otherwise it is the
+// first shard's collect error, in shard order.
+func (s *Store) gather(ctx context.Context, collect func(sh *shard, out *shardRows) error) ([]rowRef, error) {
 	per := make([]shardRows, len(s.shards))
+	errs := make([]error, len(s.shards))
 	err := parallel.ForEachCtx(ctx, len(s.shards), func(i int) {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		collect(sh, &per[i])
+		errs[i] = collect(sh, &per[i])
 		sh.mu.RUnlock()
 	})
+	if err == nil {
+		err = firstErr(errs)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -398,27 +403,47 @@ func (s *Store) gather(ctx context.Context, collect func(sh *shard, out *shardRo
 	return placeBySeq(keys, refs), nil
 }
 
-// All returns all trajectories in insertion order.
-func (s *Store) All() []core.Trajectory {
-	refs, _ := s.gather(context.Background(), func(sh *shard, out *shardRows) { //sitm:locked
-		sh.addAll(out)
+// mustRead returns v, panicking with err — a *BlockReadError, the only
+// failure of a canned read — for the query methods without an error
+// result.
+func mustRead[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
+// All returns all trajectories in insertion order. It panics with a
+// *BlockReadError when a segment block cannot be read back.
+func (s *Store) All() []core.Trajectory { return mustRead(s.all()) }
+
+func (s *Store) all() ([]core.Trajectory, error) {
+	refs, err := s.gather(context.Background(), func(sh *shard, out *shardRows) error { //sitm:locked
+		return sh.addAll(out)
 	})
-	return s.materialize(refs)
+	return s.materialize(refs), err
 }
 
 // ByMO returns the trajectories of one moving object in insertion order.
 // An MO lives entirely in its home shard, so this is a single-shard read.
-func (s *Store) ByMO(mo string) []core.Trajectory {
+// It panics with a *BlockReadError when a segment block cannot be read
+// back (GetByMO returns it).
+func (s *Store) ByMO(mo string) []core.Trajectory { return mustRead(s.byMO(mo)) }
+
+func (s *Store) byMO(mo string) ([]core.Trajectory, error) {
 	id, ok := s.mos.Lookup(mo)
 	if !ok {
-		return nil
+		return nil, nil
 	}
 	sh := s.shardOf(mo)
 	var out shardRows
 	sh.mu.RLock()
-	sh.addRows(&out, sh.byMO[id])
+	err := sh.addRows(&out, sh.byMO[id])
 	sh.mu.RUnlock()
-	return s.materialize(placeBySeq(out.keys, out.refs))
+	if err != nil {
+		return nil, err
+	}
+	return s.materialize(placeBySeq(out.keys, out.refs)), nil
 }
 
 // MOs returns the distinct moving-object ids, sorted.
@@ -443,11 +468,10 @@ func (s *Store) MOs() []string {
 }
 
 // ThroughCell returns the trajectories that visit the cell at least once —
-// the canned Cell plan (compile of a known cell never errors).
-func (s *Store) ThroughCell(cell string) []core.Trajectory {
-	out, _ := s.Select(Cell(cell))
-	return out
-}
+// the canned Cell plan (compile of a known cell never errors). It panics
+// with a *BlockReadError when a segment block cannot be read back
+// (GetThroughCell returns it).
+func (s *Store) ThroughCell(cell string) []core.Trajectory { return mustRead(s.Select(Cell(cell))) }
 
 // InCellDuring returns the MOs present in the cell at any point during
 // [from, to] (inclusive bounds, presence intervals intersecting the
@@ -455,10 +479,10 @@ func (s *Store) ThroughCell(cell string) []core.Trajectory {
 // cell's posting list zone by zone, skipping zones whose bloom filter
 // lacks the cell or whose extents miss the window, and checks a
 // candidate's span before its presence intervals; MOs never span shards,
-// so the per-shard distinct sets union without dedup.
+// so the per-shard distinct sets union without dedup. It panics with a
+// *BlockReadError when a segment block cannot be read back.
 func (s *Store) InCellDuring(cell string, from, to time.Time) []string {
-	out, _ := s.SelectMOs(CellDuring(cell, from, to))
-	return out
+	return mustRead(s.SelectMOs(CellDuring(cell, from, to)))
 }
 
 // Overlapping returns the trajectories whose time span intersects
@@ -466,10 +490,10 @@ func (s *Store) InCellDuring(cell string, from, to time.Time) []string {
 // by each shard's zone maps (current on every completed Put; served under
 // shared read locks): zones the window misses are skipped, zones it
 // covers are taken whole, and the rest are tested row by row. The window
-// may lie in any year.
+// may lie in any year. It panics with a *BlockReadError when a segment
+// block cannot be read back.
 func (s *Store) Overlapping(from, to time.Time) []core.Trajectory {
-	out, _ := s.Select(TimeOverlap(from, to))
-	return out
+	return mustRead(s.Select(TimeOverlap(from, to)))
 }
 
 // ThroughSequence returns trajectories whose (deduplicated) cell sequence
@@ -477,13 +501,13 @@ func (s *Store) Overlapping(from, to time.Time) []core.Trajectory {
 // plan: the run is interned once (a cell the store has never seen
 // compiles to a statically empty plan), each shard intersects its integer
 // posting lists and run-checks candidates over the write-time encoded
-// traces — integer compares, no strings.
+// traces — integer compares, no strings. It panics with a
+// *BlockReadError when a segment block cannot be read back.
 func (s *Store) ThroughSequence(cells ...string) []core.Trajectory {
 	if len(cells) == 0 {
 		return nil
 	}
-	out, _ := s.Select(Through(cells...))
-	return out
+	return mustRead(s.Select(Through(cells...)))
 }
 
 // intersectSorted intersects two ascending duplicate-free slot lists into a
@@ -559,23 +583,25 @@ func containsRun(seq, run []int32) bool {
 }
 
 // GetByMO returns the trajectories of one moving object, or ErrNotFound if
-// the store has never seen it.
+// the store has never seen it, or a *BlockReadError when a segment block
+// cannot be read back.
 func (s *Store) GetByMO(mo string) ([]core.Trajectory, error) {
-	out := s.ByMO(mo)
-	if len(out) == 0 {
+	out, err := s.byMO(mo)
+	if err == nil && len(out) == 0 {
 		return nil, fmt.Errorf("%w: mo %q", ErrNotFound, mo)
 	}
-	return out, nil
+	return out, err
 }
 
 // GetThroughCell returns the trajectories visiting the cell, or ErrNotFound
-// if no stored trajectory ever touched it.
+// if no stored trajectory ever touched it, or a *BlockReadError when a
+// segment block cannot be read back.
 func (s *Store) GetThroughCell(cell string) ([]core.Trajectory, error) {
-	out := s.ThroughCell(cell)
-	if len(out) == 0 {
+	out, err := s.Select(Cell(cell))
+	if err == nil && len(out) == 0 {
 		return nil, fmt.Errorf("%w: cell %q", ErrNotFound, cell)
 	}
-	return out, nil
+	return out, err
 }
 
 // ---- Serialisation ----------------------------------------------------
@@ -596,8 +622,13 @@ type jsonTrajectory struct {
 }
 
 // WriteJSON streams all trajectories as a JSON array (insertion order).
+// It returns a *BlockReadError, writing nothing, when a segment block
+// cannot be read back.
 func (s *Store) WriteJSON(w io.Writer) error {
-	trajs := s.All()
+	trajs, err := s.all()
+	if err != nil {
+		return err
+	}
 	out := make([]jsonTrajectory, 0, len(trajs))
 	for _, t := range trajs {
 		jt := jsonTrajectory{MO: t.MO, Ann: t.Ann}

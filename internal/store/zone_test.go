@@ -402,7 +402,7 @@ func TestDecodeSegmentV2RejectsSaturatedSpans(t *testing.T) {
 		var sh shard
 		sh.init()
 		seg, _ := encodeSegmentV2(&c)
-		_, err := sh.decodeSegments([]segFile{{"t", seg}}, 1, 1, 1, newBlockCache(-1))
+		_, err := sh.decodeSegments([]segFile{memSegFile("t", seg)}, 1, 1, 1, newBlockCache(-1))
 		if err == nil || !strings.Contains(err.Error(), "span time outside the storable range") {
 			t.Fatalf("span %v: err = %v", span, err)
 		}
